@@ -1,17 +1,25 @@
 """Closed-form prices for down-type options on the admissible moving barrier.
 
-Each price is a vanilla-style term minus a reflected (image) term taken at
-the image spot h(t)^2/S and scaled by (S/h(t))^(2C+1).  The image spot is
-computed as h*(h/S) and the power factor as exp((2C+1)*(ln S - ln h)), so at
-S = h(t) both terms coincide bit for bit and knockout prices vanish exactly.
+Every pricer here is one call into a single core.  A *leg* is a function of
+the spot: the vanilla call quote, or the forward leg whose moneyness is
+measured against h(T).  The knockout value of a leg is
 
-Knockout puts come from the knockout call minus the knockout forward; the
-knock-in styles come from in + out = vanilla.
+    leg(S) - (S/h(t))^(2C+1) * leg(h(t)^2/S),
+
+the leg at the spot minus the power-scaled leg at the image spot.  The image
+spot is computed as h*(h/S) and the power factor as exp((2C+1)*(ln S - ln h)),
+so at S = h(t) both terms coincide bit for bit and knockout prices vanish
+exactly.
+
+The knockout put is the call leg minus the forward leg, subtracted term by
+term; the knock-in styles come from in + out = vanilla.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, asdict
+from functools import reduce
+from operator import sub
 from typing import Optional
 
 from .contract import BarrierContract
@@ -53,9 +61,11 @@ def _bars(contract: BarrierContract, t: float):
     return (cs.integral_r(t, T), cs.integral_q(t, T), cs.integral_sigma2(t, T))
 
 
-def _check_live_inputs(S: float, t: float, contract: BarrierContract):
+def _check_live_inputs(S: float, t: float):
     if S <= 0.0 or not math.isfinite(S):
         raise DomainError(f"spot must be positive, got {S}")
+    if math.isnan(t):
+        raise DomainError(f"t={t} is not a number")
     if t < 0.0:
         raise DomainError(f"t={t} is negative")
 
@@ -77,119 +87,32 @@ def _power_factor(S: float, level: float, C: float) -> float:
             "for this spot/barrier ratio") from None
 
 
-def _knocked_out(contract, t, rbar, qbar, s2) -> PriceBreakdown:
-    return PriceBreakdown(price=0.0, vanilla_term=0.0, image_term=0.0,
-                          d1=None, d1_prime=None, d2=None, d2_prime=None,
-                          C=contract.barrier.C, power_factor=None,
-                          rbar=rbar, qbar=qbar, sigma2bar=s2,
-                          status="knocked_out")
-
-
-def _expired(S: float, contract: BarrierContract, side: str, out_style: bool,
-             forward: bool = False) -> PriceBreakdown:
+def _expired(S: float, contract: BarrierContract, kind: str,
+             knock_in: bool) -> PriceBreakdown:
     K = contract.strike
-    lev = contract.barrier.h_T
-    alive = S > lev
-    if forward:
+    alive = S > contract.barrier.h_T
+    if kind == "forward":
         intrinsic = S - K
-    elif side == "put":
+    elif kind == "put":
         intrinsic = max(K - S, 0.0)
     else:
         intrinsic = max(S - K, 0.0)
-    settle = intrinsic if alive else 0.0
-    if out_style:
-        price, van, img = settle, intrinsic, intrinsic - settle
+    if knock_in:
+        price = img = 0.0 if alive else intrinsic
     else:
-        price = 0.0 if alive else intrinsic
-        van, img = intrinsic, 0.0 if alive else intrinsic
-    return PriceBreakdown(price=price, vanilla_term=van, image_term=img,
+        price = intrinsic if alive else 0.0
+        img = intrinsic - price
+    return PriceBreakdown(price=price, vanilla_term=intrinsic, image_term=img,
                           d1=None, d1_prime=None, d2=None, d2_prime=None,
                           C=contract.barrier.C, power_factor=None,
                           rbar=0.0, qbar=0.0, sigma2bar=0.0, status="expired")
 
 
-def d_values(S: float, t: float, contract: BarrierContract):
-    """The four d arguments (d1, d1', d2, d2') of the knockout call.
-
-    d2 is d1 evaluated at the image spot h(t)^2/S; primes subtract the total
-    volatility sqrt(sigma2bar).  Computed through the same quote arithmetic
-    the pricers use, so a breakdown carries these exact numbers.
-    """
-    _check_live_inputs(S, t, contract)
-    if t >= contract.expiry:
-        raise DomainError("d values undefined at or past expiry (sigma2bar = 0)")
-    rbar, qbar, s2 = _bars(contract, t)
-    lev = contract.barrier.level(t)
-    K = contract.strike
-    q1 = quote_from_bars(S, K, rbar, qbar, s2, "call")
-    q2 = quote_from_bars(lev * (lev / S), K, rbar, qbar, s2, "call")
-    return q1.d1, q1.d1_prime, q2.d1, q2.d1_prime
-
-
-def _image_quotes(S, lev, contract, rbar, qbar, s2, side):
-    """Vanilla quotes at S and at the image spot h*(h/S), plus the power factor."""
-    K = contract.strike
-    q_spot = quote_from_bars(S, K, rbar, qbar, s2, side)
-    image_spot = lev * (lev / S)
-    q_img = quote_from_bars(image_spot, K, rbar, qbar, s2, side)
-    power = _power_factor(S, lev, contract.barrier.C)
-    return q_spot, q_img, power
-
-
-def down_and_out_call(S: float, t: float, contract: BarrierContract) -> PriceBreakdown:
-    """Knockout call: vanilla minus power-scaled vanilla at the image spot.
-
-    Returns 0 with a knocked_out status for S <= h(t); the value at
-    S = h(t) is exactly zero because both terms coincide there.
-    """
-    _check_live_inputs(S, t, contract)
-    _require_regime(contract)
-    if t >= contract.expiry:
-        return _expired(S, contract, "call", out_style=True)
-    rbar, qbar, s2 = _bars(contract, t)
-    lev = contract.barrier.level(t)
-    if S < lev:
-        return _knocked_out(contract, t, rbar, qbar, s2)
-    q1, q2, power = _image_quotes(S, lev, contract, rbar, qbar, s2, "call")
-    image_term = power * q2.price
-    if not math.isfinite(image_term):
-        raise DomainError("image term overflows; contract too far outside "
-                          "the tested parameter range")
-    return PriceBreakdown(
-        price=q1.price - image_term,
-        vanilla_term=q1.price, image_term=image_term,
-        d1=q1.d1, d1_prime=q1.d1_prime, d2=q2.d1, d2_prime=q2.d1_prime,
-        C=contract.barrier.C, power_factor=power,
-        rbar=rbar, qbar=qbar, sigma2bar=s2,
-        status="knocked_out" if S == lev else "live")
-
-
-def down_and_in_call(S: float, t: float, contract: BarrierContract) -> PriceBreakdown:
-    """Knock-in call: the image term itself; vanilla once S <= h(t)."""
-    _check_live_inputs(S, t, contract)
-    _require_regime(contract)
-    if t >= contract.expiry:
-        return _expired(S, contract, "call", out_style=False)
-    rbar, qbar, s2 = _bars(contract, t)
-    lev = contract.barrier.level(t)
-    if S <= lev:
-        q = quote_from_bars(S, contract.strike, rbar, qbar, s2, "call")
-        return PriceBreakdown(
-            price=q.price, vanilla_term=q.price, image_term=q.price,
-            d1=q.d1, d1_prime=q.d1_prime, d2=None, d2_prime=None,
-            C=contract.barrier.C, power_factor=None,
-            rbar=rbar, qbar=qbar, sigma2bar=s2, status="knocked_in")
-    q1, q2, power = _image_quotes(S, lev, contract, rbar, qbar, s2, "call")
-    image_term = power * q2.price
-    if not math.isfinite(image_term):
-        raise DomainError("image term overflows; contract too far outside "
-                          "the tested parameter range")
-    return PriceBreakdown(
-        price=image_term,
-        vanilla_term=q1.price, image_term=image_term,
-        d1=q1.d1, d1_prime=q1.d1_prime, d2=q2.d1, d2_prime=q2.d1_prime,
-        C=contract.barrier.C, power_factor=power,
-        rbar=rbar, qbar=qbar, sigma2bar=s2, status="live")
+def _call_leg(spot: float, K: float, h_T: float, rbar: float, qbar: float,
+              s2: float):
+    """Vanilla call quote: (price, d1, d1')."""
+    q = quote_from_bars(spot, K, rbar, qbar, s2, "call")
+    return q.price, q.d1, q.d1_prime
 
 
 def _forward_leg(spot: float, K: float, h_T: float, rbar: float, qbar: float,
@@ -204,6 +127,98 @@ def _forward_leg(spot: float, K: float, h_T: float, rbar: float, qbar: float,
     return value, db1, db1p
 
 
+# the put is the call leg minus the forward leg, term by term
+_LEGS = {"call": (_call_leg,), "forward": (_forward_leg,),
+         "put": (_call_leg, _forward_leg)}
+
+
+def _leg_pair(leg, S: float, lev: float, contract: BarrierContract, bars):
+    """The leg at S and at the image spot h*(h/S), each (value, d, d')."""
+    K, h_T = contract.strike, contract.barrier.h_T
+    return leg(S, K, h_T, *bars), leg(lev * (lev / S), K, h_T, *bars)
+
+
+def _closed_form(S: float, t: float, contract: BarrierContract, kind: str,
+                 knock_in: bool = False) -> PriceBreakdown:
+    """The core behind every pricer: kind is "call", "put" or "forward".
+
+    Knockout styles return leg(S) - power * leg(image); knock-in calls and
+    puts return vanilla minus that, and the vanilla itself once S <= h(t).
+    """
+    _check_live_inputs(S, t)
+    if kind != "forward":
+        _require_regime(contract)
+    if t >= contract.expiry:
+        return _expired(S, contract, kind, knock_in)
+    bars = _bars(contract, t)
+    barrier = contract.barrier
+    lev = barrier.level(t)
+    d = (None, None, None, None)
+    power = None
+    if knock_in and S <= lev:
+        q = quote_from_bars(S, contract.strike, *bars, kind)
+        price = van = img = q.price
+        d = (q.d1, q.d1_prime, None, None)
+        status = "knocked_in"
+    elif S < lev:
+        price = van = img = 0.0
+        status = "knocked_out"
+    else:
+        pairs = [_leg_pair(leg, S, lev, contract, bars) for leg in _LEGS[kind]]
+        power = _power_factor(S, lev, barrier.C)
+        images = [power * at_image[0] for _, at_image in pairs]
+        if not all(map(math.isfinite, images)):
+            raise DomainError("image term overflows; contract too far outside "
+                              "the tested parameter range")
+        van = reduce(sub, [at_spot[0] for at_spot, _ in pairs])
+        img = reduce(sub, images)
+        (_, d1, d1p), (_, d2, d2p) = pairs[0]
+        d = (d1, d1p, d2, d2p)
+        out = van - img
+        status = "knocked_out" if S == lev and not knock_in else "live"
+        if not knock_in:
+            price = out
+        elif kind == "call":
+            price = img  # vanilla - out: the call's vanilla leg cancels
+        else:
+            van = quote_from_bars(S, contract.strike, *bars, "put").price
+            price = img = van - out
+    return PriceBreakdown(price=price, vanilla_term=van, image_term=img,
+                          d1=d[0], d1_prime=d[1], d2=d[2], d2_prime=d[3],
+                          C=barrier.C, power_factor=power, rbar=bars[0],
+                          qbar=bars[1], sigma2bar=bars[2], status=status)
+
+
+def d_values(S: float, t: float, contract: BarrierContract):
+    """The four d arguments (d1, d1', d2, d2') of the knockout call.
+
+    d2 is d1 evaluated at the image spot h(t)^2/S; primes subtract the total
+    volatility sqrt(sigma2bar).  Computed through the same leg evaluation
+    the pricers use, so a breakdown carries these exact numbers.
+    """
+    _check_live_inputs(S, t)
+    if t >= contract.expiry:
+        raise DomainError("d values undefined at or past expiry (sigma2bar = 0)")
+    lev = contract.barrier.level(t)
+    (_, d1, d1p), (_, d2, d2p) = _leg_pair(_call_leg, S, lev, contract,
+                                           _bars(contract, t))
+    return d1, d1p, d2, d2p
+
+
+def down_and_out_call(S: float, t: float, contract: BarrierContract) -> PriceBreakdown:
+    """Knockout call: vanilla minus power-scaled vanilla at the image spot.
+
+    Returns 0 with a knocked_out status for S <= h(t); the value at
+    S = h(t) is exactly zero because both terms coincide there.
+    """
+    return _closed_form(S, t, contract, "call")
+
+
+def down_and_in_call(S: float, t: float, contract: BarrierContract) -> PriceBreakdown:
+    """Knock-in call: the image term itself; vanilla once S <= h(t)."""
+    return _closed_form(S, t, contract, "call", knock_in=True)
+
+
 def forward_barrier_value(S: float, t: float, contract: BarrierContract) -> PriceBreakdown:
     """Knockout forward: pays S_T - K at expiry unless the barrier was hit.
 
@@ -211,30 +226,7 @@ def forward_barrier_value(S: float, t: float, contract: BarrierContract) -> Pric
     against h(T) because the payoff region boundary is the terminal barrier.
     Valid for any strike (the payoff has no kink above the barrier).
     """
-    _check_live_inputs(S, t, contract)
-    if t >= contract.expiry:
-        return _expired(S, contract, "call", out_style=True, forward=True)
-    rbar, qbar, s2 = _bars(contract, t)
-    barrier = contract.barrier
-    lev = barrier.level(t)
-    if S < lev:
-        return _knocked_out(contract, t, rbar, qbar, s2)
-    K = contract.strike
-    direct, db1, db1p = _forward_leg(S, K, barrier.h_T, rbar, qbar, s2)
-    image_spot = lev * (lev / S)
-    mirror, db2, db2p = _forward_leg(image_spot, K, barrier.h_T, rbar, qbar, s2)
-    power = _power_factor(S, lev, barrier.C)
-    image_term = power * mirror
-    if not math.isfinite(image_term):
-        raise DomainError("image term overflows; contract too far outside "
-                          "the tested parameter range")
-    return PriceBreakdown(
-        price=direct - image_term,
-        vanilla_term=direct, image_term=image_term,
-        d1=db1, d1_prime=db1p, d2=db2, d2_prime=db2p,
-        C=barrier.C, power_factor=power,
-        rbar=rbar, qbar=qbar, sigma2bar=s2,
-        status="knocked_out" if S == lev else "live")
+    return _closed_form(S, t, contract, "forward")
 
 
 def down_and_out_put(S: float, t: float, contract: BarrierContract) -> PriceBreakdown:
@@ -243,45 +235,12 @@ def down_and_out_put(S: float, t: float, contract: BarrierContract) -> PriceBrea
     The subtraction happens term by term, so the direct/image split of the
     breakdown is preserved and the price vanishes exactly at the barrier.
     """
-    _check_live_inputs(S, t, contract)
-    _require_regime(contract)
-    if t >= contract.expiry:
-        return _expired(S, contract, "put", out_style=True)
-    call = down_and_out_call(S, t, contract)
-    fwd = forward_barrier_value(S, t, contract)
-    van = call.vanilla_term - fwd.vanilla_term
-    img = call.image_term - fwd.image_term
-    return PriceBreakdown(
-        price=van - img,
-        vanilla_term=van, image_term=img,
-        d1=call.d1, d1_prime=call.d1_prime, d2=call.d2, d2_prime=call.d2_prime,
-        C=call.C, power_factor=call.power_factor,
-        rbar=call.rbar, qbar=call.qbar, sigma2bar=call.sigma2bar,
-        status=call.status)
+    return _closed_form(S, t, contract, "put")
 
 
 def down_and_in_put(S: float, t: float, contract: BarrierContract) -> PriceBreakdown:
     """Knock-in put: vanilla put minus knockout put; vanilla once S <= h(t)."""
-    _check_live_inputs(S, t, contract)
-    _require_regime(contract)
-    if t >= contract.expiry:
-        return _expired(S, contract, "put", out_style=False)
-    rbar, qbar, s2 = _bars(contract, t)
-    lev = contract.barrier.level(t)
-    vput = quote_from_bars(S, contract.strike, rbar, qbar, s2, "put")
-    if S <= lev:
-        return PriceBreakdown(
-            price=vput.price, vanilla_term=vput.price, image_term=vput.price,
-            d1=vput.d1, d1_prime=vput.d1_prime, d2=None, d2_prime=None,
-            C=contract.barrier.C, power_factor=None,
-            rbar=rbar, qbar=qbar, sigma2bar=s2, status="knocked_in")
-    out = down_and_out_put(S, t, contract)
-    price = vput.price - out.price
-    return PriceBreakdown(
-        price=price, vanilla_term=vput.price, image_term=price,
-        d1=out.d1, d1_prime=out.d1_prime, d2=out.d2, d2_prime=out.d2_prime,
-        C=out.C, power_factor=out.power_factor,
-        rbar=rbar, qbar=qbar, sigma2bar=s2, status="live")
+    return _closed_form(S, t, contract, "put", knock_in=True)
 
 
 _PRICERS = {

@@ -14,9 +14,8 @@ import json
 import sys
 import time
 
-from .barrier import (constant_case_parity_gap, down_and_in_call,
-                      down_and_in_put, down_and_out_call, down_and_out_put,
-                      forward_barrier_value, price_contract)
+from .barrier import (_PRICERS, constant_case_parity_gap, down_and_out_call,
+                      down_and_out_put, forward_barrier_value, price_contract)
 from .contract import BarrierContract, load_contract
 from .curves import load_curves
 from .errors import AccuracyError, DomainError, LoadError, RegimeError
@@ -117,19 +116,19 @@ def cmd_parity(args) -> int:
     S, t = args.spot, args.time
     results = []
 
-    out_fn, in_fn, van_fn = ((down_and_out_call, down_and_in_call, vanilla_call)
-                             if contract.side == "call" else
-                             (down_and_out_put, down_and_in_put, vanilla_put))
-    out_px = out_fn(S, t, contract).price
-    in_px = in_fn(S, t, contract).price
+    side = contract.side
+    other = "put" if side == "call" else "call"
+    out_px = {side: _PRICERS[(side, "down_and_out")](S, t, contract).price}
+    in_px = _PRICERS[(side, "down_and_in")](S, t, contract).price
+    van_fn = vanilla_call if side == "call" else vanilla_put
     van_px = van_fn(S, t, contract.strike, contract.expiry, curves).price
-    results.append(_row("out_in_minus_vanilla", out_px + in_px - van_px,
+    results.append(_row("out_in_minus_vanilla", out_px[side] + in_px - van_px,
                         reference=0.0, tolerance=args.tol))
 
-    c_do = down_and_out_call(S, t, contract).price
-    p_do = down_and_out_put(S, t, contract).price
+    out_px[other] = _PRICERS[(other, "down_and_out")](S, t, contract).price
     fwd = forward_barrier_value(S, t, contract).price
-    results.append(_row("put_plus_forward_minus_call", p_do + fwd - c_do,
+    results.append(_row("put_plus_forward_minus_call",
+                        out_px["put"] + fwd - out_px["call"],
                         reference=0.0, tolerance=args.tol))
 
     cs = curves

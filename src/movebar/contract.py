@@ -40,7 +40,7 @@ class MovingBarrier:
 
     def level(self, t: float) -> float:
         """Barrier level at time t, exact for the piecewise-constant curves."""
-        if t < 0.0 or t > self.T:
+        if not 0.0 <= t <= self.T:
             raise DomainError(f"t={t} outside [0, {self.T}]")
         cs = self.curves
         drift = (cs.integral_r(t, self.T) - cs.integral_q(t, self.T)
@@ -53,7 +53,7 @@ class MovingBarrier:
         Curve lookups are right-continuous, so at a breakpoint this returns
         the slope of the interval starting there.
         """
-        if t < 0.0 or t > self.T:
+        if not 0.0 <= t <= self.T:
             raise DomainError(f"t={t} outside [0, {self.T}]")
         cs = self.curves
         sig = cs.sigma.value_at(t)
@@ -69,7 +69,7 @@ def barrier_from_terminal(h_T: float, C: float, curves: CurveSet,
 def c_from_levels(h_t0: float, t0: float, h_T: float, T: float,
                   curves: CurveSet) -> float:
     """Solve for the C whose barrier passes through (t0, h_t0) and (T, h_T)."""
-    if h_t0 <= 0.0 or h_T <= 0.0:
+    if not (h_t0 > 0.0 and h_T > 0.0):
         raise DomainError("barrier levels must be positive")
     if not t0 < T:
         raise DomainError(f"need t0 < T, got t0={t0}, T={T}")

@@ -51,6 +51,8 @@ class TermStructure:
 
     def value_at(self, t: float) -> float:
         """Right-continuous lookup; flat extrapolation beyond the last piece."""
+        if math.isnan(t):
+            raise DomainError(f"t={t} is not a number")
         if t < self.start:
             raise DomainError(f"t={t} precedes curve start {self.start}")
         i = bisect.bisect_right(self.breakpoints, t) - 1
@@ -58,19 +60,14 @@ class TermStructure:
 
     def integral(self, t: float, T: float) -> float:
         """Exact integral of the step function over [t, T]."""
-        self._check_window(t, T)
-        total = 0.0
-        for i, v in enumerate(self.values):
-            lo = self.breakpoints[i]
-            hi = self.breakpoints[i + 1] if i + 1 < len(self.breakpoints) else math.inf
-            a = max(t, lo)
-            b = min(T, hi)
-            if b > a:
-                total += v * (b - a)
-        return total
+        return self._overlap_sum(t, T, squared=False)
 
     def integral_squared(self, t: float, T: float) -> float:
         """Exact integral of the squared step function over [t, T]."""
+        return self._overlap_sum(t, T, squared=True)
+
+    def _overlap_sum(self, t: float, T: float, squared: bool) -> float:
+        """Sum of value (or value^2) times the overlap of each piece with [t, T]."""
         self._check_window(t, T)
         total = 0.0
         for i, v in enumerate(self.values):
@@ -79,10 +76,12 @@ class TermStructure:
             a = max(t, lo)
             b = min(T, hi)
             if b > a:
-                total += v * v * (b - a)
+                total += (v * v if squared else v) * (b - a)
         return total
 
     def _check_window(self, t: float, T: float):
+        if math.isnan(t) or math.isnan(T):
+            raise DomainError(f"integration window [{t}, {T}] is not a number")
         if T < t:
             raise DomainError(f"integration window reversed: [{t}, {T}]")
         if t < self.start:

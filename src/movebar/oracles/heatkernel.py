@@ -37,9 +37,9 @@ def to_heat_coords(S: float, t: float, contract: BarrierContract) -> HeatCoords:
     exponents a_T = C + 1/2 and b_t = -(rbar + a_T^2 tau / 2) that restore
     the price as V = e^{a_T x + b_t} U(x, tau).
     """
-    if S <= 0.0:
+    if not (S > 0.0 and math.isfinite(S)):
         raise DomainError(f"spot must be positive, got {S}")
-    if t < 0.0 or t > contract.expiry:
+    if not 0.0 <= t <= contract.expiry:
         raise DomainError(f"t={t} outside [0, {contract.expiry}]")
     barrier = contract.barrier
     lev = barrier.level(t)

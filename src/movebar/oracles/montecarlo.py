@@ -23,6 +23,7 @@ from scipy.special import ndtri
 
 from ..contract import BarrierContract
 from ..errors import DomainError
+from .pde import _time_grid
 
 _CHUNK = 32768
 _U64_SCALE = 2.0 ** -53
@@ -55,21 +56,6 @@ def _chunk_normals(seed: int, path_lo: int, n_paths: int, n_steps: int) -> np.nd
     return ndtri(u)
 
 
-def _step_grid(t: float, T: float, n_steps: int, contract: BarrierContract):
-    base = [t + (T - t) * i / n_steps for i in range(n_steps + 1)]
-    cs = contract.curves
-    extra = {b for curve in (cs.r, cs.q, cs.sigma) for b in curve.breakpoints
-             if t < b < T}
-    grid = sorted(set(base) | extra)
-    out = [grid[0]]
-    tiny = 1e-12 * max(T - t, 1.0)
-    for g in grid[1:]:
-        if g - out[-1] > tiny:
-            out.append(g)
-    out[-1] = T
-    return out
-
-
 def mc_price(S: float, t: float, contract: BarrierContract,
              n_paths: int = 100_000, n_steps: int = 64,
              seed: int = 0) -> McEstimate:
@@ -88,12 +74,14 @@ def mc_price(S: float, t: float, contract: BarrierContract,
         raise DomainError("simulation requires t < T")
     barrier = contract.barrier
     lev = barrier.level(t)
+    if not math.isfinite(S):
+        raise DomainError(f"spot must be finite, got {S}")
     if S <= lev:
         raise DomainError(f"S={S} at or below barrier level {lev}")
 
     cs = contract.curves
     T = contract.expiry
-    times = _step_grid(t, T, n_steps, contract)
+    times = _time_grid(t, T, n_steps, contract)
     steps = len(times) - 1
     drift = np.empty(steps)
     var = np.empty(steps)

@@ -53,6 +53,8 @@ class PdeGrid:
         """
         barrier = contract.barrier
         lev = barrier.level(t)
+        if not math.isfinite(S):
+            raise DomainError(f"spot must be finite, got {S}")
         if S < lev:
             raise DomainError(f"S={S} below barrier level {lev}")
         x_spot = math.log(S) - math.log(lev)
@@ -66,7 +68,8 @@ class PdeGrid:
 
 
 def _time_grid(t: float, T: float, n_time: int, contract: BarrierContract):
-    """Uniform step grid refined to hit every curve breakpoint exactly."""
+    """Uniform step grid refined to hit every curve breakpoint exactly; the
+    lattice and the simulation both step on it."""
     base = [t + (T - t) * i / n_time for i in range(n_time + 1)]
     cs = contract.curves
     extra = {b for curve in (cs.r, cs.q, cs.sigma) for b in curve.breakpoints
@@ -116,6 +119,8 @@ def _solve(S: float, t: float, contract: BarrierContract, grid: PdeGrid) -> floa
     T = contract.expiry
     K = contract.strike
     lev_t = barrier.level(t)
+    if not math.isfinite(S):
+        raise DomainError(f"spot must be finite, got {S}")
     if S < lev_t:
         raise DomainError(f"S={S} below barrier level {lev_t}")
     x_eval = math.log(S) - math.log(lev_t)

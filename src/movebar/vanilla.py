@@ -33,12 +33,16 @@ class VanillaQuote:
     discount_q: float
 
 
+def _check_spot_strike(S: float, K: float):
+    if not (0.0 < S < math.inf and 0.0 < K < math.inf):
+        raise DomainError(f"need S > 0 and K > 0, got S={S}, K={K}")
+
+
 def quote_from_bars(S: float, K: float, rbar: float, qbar: float,
                     sigma2bar: float, side: str = "call") -> VanillaQuote:
     """Vanilla quote from pre-integrated curve quantities."""
-    if S <= 0.0 or K <= 0.0:
-        raise DomainError(f"need S > 0 and K > 0, got S={S}, K={K}")
-    if sigma2bar <= 0.0:
+    _check_spot_strike(S, K)
+    if not sigma2bar > 0.0:
         raise DomainError(f"sigma2bar must be positive, got {sigma2bar}")
     sd = math.sqrt(sigma2bar)
     # log difference, not log of ratio: survives extreme S/K magnitudes
@@ -54,29 +58,24 @@ def quote_from_bars(S: float, K: float, rbar: float, qbar: float,
                         discount_r=disc_r, discount_q=disc_q)
 
 
-def _expired(S: float, K: float, side: str) -> VanillaQuote:
-    pay = max(S - K, 0.0) if side == "call" else max(K - S, 0.0)
-    return VanillaQuote(price=pay, d1=None, d1_prime=None,
-                        discount_r=1.0, discount_q=1.0)
+def _vanilla(S: float, t: float, K: float, T: float, curves: CurveSet,
+             side: str) -> VanillaQuote:
+    _check_spot_strike(S, K)
+    if t >= T:
+        pay = max(S - K, 0.0) if side == "call" else max(K - S, 0.0)
+        return VanillaQuote(price=pay, d1=None, d1_prime=None,
+                            discount_r=1.0, discount_q=1.0)
+    return quote_from_bars(S, K, curves.integral_r(t, T), curves.integral_q(t, T),
+                           curves.integral_sigma2(t, T), side)
 
 
 def vanilla_call(S: float, t: float, K: float, T: float,
                  curves: CurveSet) -> VanillaQuote:
     """European call at spot S, time t, strike K, expiry T."""
-    if S <= 0.0 or K <= 0.0:
-        raise DomainError(f"need S > 0 and K > 0, got S={S}, K={K}")
-    if t >= T:
-        return _expired(S, K, "call")
-    return quote_from_bars(S, K, curves.integral_r(t, T), curves.integral_q(t, T),
-                           curves.integral_sigma2(t, T), "call")
+    return _vanilla(S, t, K, T, curves, "call")
 
 
 def vanilla_put(S: float, t: float, K: float, T: float,
                 curves: CurveSet) -> VanillaQuote:
     """European put at spot S, time t, strike K, expiry T."""
-    if S <= 0.0 or K <= 0.0:
-        raise DomainError(f"need S > 0 and K > 0, got S={S}, K={K}")
-    if t >= T:
-        return _expired(S, K, "put")
-    return quote_from_bars(S, K, curves.integral_r(t, T), curves.integral_q(t, T),
-                           curves.integral_sigma2(t, T), "put")
+    return _vanilla(S, t, K, T, curves, "put")

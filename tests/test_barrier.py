@@ -353,3 +353,122 @@ def test_knockin_matches_vanilla_at_the_barrier(td_contract):
         assert out.vanilla_term == out.image_term
         inn = mb.down_and_in_call(lev, t, td_contract(0.5, style="down_and_in"))
         assert inn.price == inn.vanilla_term
+
+
+
+# float.hex of the breakdown fields (price, vanilla_term, image_term, d1, d1',
+# d2, d2', power_factor, status) and of d_values on the two-piece curves with
+# C = 0.5 at t = 0.25, recorded before the five closed forms shared one core.
+# Every breakdown here also carries the C, rbar, qbar and sigma2bar below.
+# The live spot 110 is one where regrouping the put's image terms as
+# power * (call - forward), or forming the image spot as h*h/S, moves bits.
+PINNED_BARS = ("0x1.0000000000000p-1", "0x1.1eb851eb851ebp-5",
+               "0x1.47ae147ae147bp-7", "0x1.9eb851eb851ebp-5")
+PINNED = {
+    "live": {
+        "down_and_out_call": (
+            "0x1.01b89d7e81e12p+4 0x1.0a6fca0b612fcp+4 "
+            "0x1.16e5919be9d3ap-1 0x1.4b5f5c08232afp-1 "
+            "0x1.b05851a9dfef8p-2 -0x1.9570a0f0de853p+0 "
+            "-0x1.cf0a3a8a781edp+0 0x1.a6e746a46ed71p+0 live"),
+        "down_and_in_call": (
+            "0x1.16e5919be9d3ap-1 0x1.0a6fca0b612fcp+4 "
+            "0x1.16e5919be9d3ap-1 0x1.4b5f5c08232afp-1 "
+            "0x1.b05851a9dfef8p-2 -0x1.9570a0f0de853p+0 "
+            "-0x1.cf0a3a8a781edp+0 0x1.a6e746a46ed71p+0 live"),
+        "forward_barrier_value": (
+            "0x1.fcfba1ca46eb9p+3 0x1.fe7e220449578p+3 "
+            "0x1.82803a026bf52p-5 0x1.1d90277a780dep+0 "
+            "0x1.c7ed1bc1bce89p-1 -0x1.1d90277a780ccp+0 "
+            "-0x1.5729c11411a66p+0 0x1.a6e746a46ed71p+0 live"),
+        "down_and_out_put": (
+            "0x1.9d664caf35aecp-3 0x1.6617212790800p-1 "
+            "0x1.fd7b1bf78628ap-2 0x1.4b5f5c08232afp-1 "
+            "0x1.b05851a9dfef8p-2 -0x1.9570a0f0de853p+0 "
+            "-0x1.cf0a3a8a781edp+0 0x1.a6e746a46ed71p+0 live"),
+        "down_and_in_put": (
+            "0x1.06c076323b209p+2 0x1.13aba897b4ce0p+2 "
+            "0x1.06c076323b209p+2 0x1.4b5f5c08232afp-1 "
+            "0x1.b05851a9dfef8p-2 -0x1.9570a0f0de853p+0 "
+            "-0x1.cf0a3a8a781edp+0 0x1.a6e746a46ed71p+0 live"),
+        "d_values": (
+            "0x1.4b5f5c08232afp-1 0x1.b05851a9dfef8p-2 "
+            "-0x1.9570a0f0de853p+0 -0x1.cf0a3a8a781edp+0"),
+    },
+    "at_barrier": {
+        "down_and_out_call": (
+            "0x0.0p+0 0x1.c3c6ae550b9c0p+1 0x1.c3c6ae550b9c0p+1 "
+            "-0x1.df81e5d999df8p-2 -0x1.62f426200022fp-1 "
+            "-0x1.df81e5d999df8p-2 -0x1.62f426200022fp-1 "
+            "0x1.0000000000000p+0 knocked_out"),
+        "down_and_in_call": (
+            "0x1.c3c6ae550b9c0p+1 0x1.c3c6ae550b9c0p+1 "
+            "0x1.c3c6ae550b9c0p+1 -0x1.df81e5d999df8p-2 "
+            "-0x1.62f426200022fp-1 None None None knocked_in"),
+        "forward_barrier_value": (
+            "0x0.0p+0 0x1.5723d130b6e30p+1 0x1.5723d130b6e30p+1 "
+            "0x1.231c71c71c71cp-49 -0x1.ccccccccccc84p-3 "
+            "0x1.231c71c71c71cp-49 -0x1.ccccccccccc84p-3 "
+            "0x1.0000000000000p+0 knocked_out"),
+        "down_and_out_put": (
+            "0x0.0p+0 0x1.b28b749152e40p-1 0x1.b28b749152e40p-1 "
+            "-0x1.df81e5d999df8p-2 -0x1.62f426200022fp-1 "
+            "-0x1.df81e5d999df8p-2 -0x1.62f426200022fp-1 "
+            "0x1.0000000000000p+0 knocked_out"),
+        "down_and_in_put": (
+            "0x1.eb726baa9c124p+3 0x1.eb726baa9c124p+3 "
+            "0x1.eb726baa9c124p+3 -0x1.df81e5d999df8p-2 "
+            "-0x1.62f426200022fp-1 None None None knocked_in"),
+        "d_values": (
+            "-0x1.df81e5d999df8p-2 -0x1.62f426200022fp-1 "
+            "-0x1.df81e5d999df8p-2 -0x1.62f426200022fp-1"),
+    },
+    "below": {
+        "down_and_out_call": (
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 None None None None None "
+            "knocked_out"),
+        "down_and_in_call": (
+            "0x1.753d9cc6fb160p+0 0x1.753d9cc6fb160p+0 "
+            "0x1.753d9cc6fb160p+0 -0x1.df81e5d999e0ap-1 "
+            "-0x1.295a8c866689fp+0 None None None knocked_in"),
+        "forward_barrier_value": (
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 None None None None None "
+            "knocked_out"),
+        "down_and_out_put": (
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 None None None None None "
+            "knocked_out"),
+        "down_and_in_put": (
+            "0x1.5c269615ef4b0p+4 0x1.5c269615ef4b0p+4 "
+            "0x1.5c269615ef4b0p+4 -0x1.df81e5d999e0ap-1 "
+            "-0x1.295a8c866689fp+0 None None None knocked_in"),
+        "d_values": (
+            "-0x1.df81e5d999e0ap-1 -0x1.295a8c866689fp+0 "
+            "-0x1.15c71c71c71c7p-49 -0x1.ccccccccccd12p-3"),
+    },
+}
+
+
+def _hexed(values):
+    return " ".join(v.hex() if isinstance(v, float) else str(v) for v in values)
+
+
+@pytest.mark.parametrize("spot", sorted(PINNED))
+def test_breakdowns_keep_their_bits(td_contract, spot):
+    t = 0.25
+    lev = td_contract(0.5).barrier.level(t)
+    assert lev.hex() == "0x1.5655e9a26c98fp+6"
+    S = {"live": 110.0, "at_barrier": lev, "below": 0.9 * lev}[spot]
+    for name, side, style in [
+            ("down_and_out_call", "call", "down_and_out"),
+            ("down_and_in_call", "call", "down_and_in"),
+            ("forward_barrier_value", "call", "down_and_out"),
+            ("down_and_out_put", "put", "down_and_out"),
+            ("down_and_in_put", "put", "down_and_in")]:
+        out = getattr(mb, name)(S, t, td_contract(0.5, side=side, style=style))
+        d = out.to_dict()
+        got = _hexed([d.pop(k) for k in ("price", "vanilla_term", "image_term",
+                                         "d1", "d1_prime", "d2", "d2_prime",
+                                         "power_factor", "status")])
+        assert got == PINNED[spot][name], name
+        assert _hexed(d.values()) == " ".join(PINNED_BARS), name
+    assert _hexed(mb.d_values(S, t, td_contract(0.5))) == PINNED[spot]["d_values"]

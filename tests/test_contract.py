@@ -47,6 +47,10 @@ def test_level_outside_horizon_rejected(const_curves):
         bar.level(-0.01)
     with pytest.raises(DomainError):
         bar.level(1.01)
+    with pytest.raises(DomainError, match="nan"):
+        bar.level(math.nan)
+    with pytest.raises(DomainError, match="nan"):
+        bar.growth_rate(math.nan)
 
 
 def test_growth_rate_matches_log_slope(td_curves):
@@ -71,6 +75,8 @@ def test_c_from_levels_inverts_level(td_curves):
 def test_c_from_levels_validation(const_curves):
     with pytest.raises(DomainError):
         mb.c_from_levels(-90.0, 0.0, 90.0, 1.0, const_curves)
+    with pytest.raises(DomainError):
+        mb.c_from_levels(math.nan, 0.0, 90.0, 1.0, const_curves)
     with pytest.raises(DomainError):
         mb.c_from_levels(90.0, 1.0, 90.0, 1.0, const_curves)
     # near-zero variance makes the implied decay constant absurd

@@ -68,6 +68,13 @@ def test_integral_window_validation(steps):
         steps.integral(0.5, 0.2)
     with pytest.raises(DomainError):
         steps.integral(-0.1, 0.5)
+    for t, T in [(math.nan, 1.0), (0.0, math.nan)]:
+        with pytest.raises(DomainError, match="nan"):
+            steps.integral(t, T)
+        with pytest.raises(DomainError, match="nan"):
+            steps.integral_squared(t, T)
+    with pytest.raises(DomainError, match="nan"):
+        steps.value_at(math.nan)
 
 
 @pytest.mark.parametrize("bps,vals", [

@@ -1,0 +1,38 @@
+"""Non-finite inputs: every pricer raises DomainError naming the bad value.
+
+A NaN time or a NaN/infinite spot must never come back as a number (or as
+an untyped error from deep inside the arithmetic).
+"""
+import math
+
+import pytest
+
+import movebar as mb
+from movebar import DomainError
+
+
+def _vanilla(fn):
+    return lambda S, t, c: fn(S, t, c.strike, c.expiry, c.curves)
+
+
+PRICERS = {
+    "down_and_out_call": mb.down_and_out_call,
+    "down_and_in_call": mb.down_and_in_call,
+    "forward_barrier_value": mb.forward_barrier_value,
+    "down_and_out_put": mb.down_and_out_put,
+    "down_and_in_put": mb.down_and_in_put,
+    "vanilla_call": _vanilla(mb.vanilla_call),
+    "vanilla_put": _vanilla(mb.vanilla_put),
+    "heat_kernel_price": mb.heat_kernel_price,
+    "pde_price": mb.pde_price,
+    "mc_price": lambda S, t, c: mb.mc_price(S, t, c, n_paths=1000, n_steps=4),
+}
+
+
+@pytest.mark.parametrize("S,t", [(math.nan, 0.0), (math.inf, 0.0),
+                                 (100.0, math.nan)],
+                         ids=["S=nan", "S=inf", "t=nan"])
+@pytest.mark.parametrize("name", sorted(PRICERS))
+def test_non_finite_input_raises_domain_error(const_contract, name, S, t):
+    with pytest.raises(DomainError, match="nan|inf"):
+        PRICERS[name](S, t, const_contract)

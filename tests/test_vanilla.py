@@ -105,6 +105,9 @@ def test_input_validation(const_curves):
         mb.vanilla_call(0.0, 0.0, 100.0, 1.0, const_curves)
     with pytest.raises(DomainError):
         mb.vanilla_put(100.0, 0.0, -5.0, 1.0, const_curves)
+    for K in (math.inf, math.nan):
+        with pytest.raises(DomainError, match=f"K={K}"):
+            mb.vanilla_call(100.0, 0.0, K, 1.0, const_curves)
     with pytest.raises(DomainError):
         quote_from_bars(100.0, 100.0, 0.05, 0.0, 0.0)
 
