@@ -35,6 +35,10 @@ class PdeGrid:
     theta: float = 0.5
 
     def __post_init__(self):
+        for name in ("n_space", "n_time"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise DomainError(f"{name} must be an integer, got {value!r}")
         if self.n_space < 4 or self.n_time < 4:
             raise DomainError("need n_space >= 4 and n_time >= 4")
         if not (self.x_max > 0.0 and math.isfinite(self.x_max)):

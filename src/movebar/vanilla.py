@@ -42,6 +42,9 @@ def quote_from_bars(S: float, K: float, rbar: float, qbar: float,
                     sigma2bar: float, side: str = "call") -> VanillaQuote:
     """Vanilla quote from pre-integrated curve quantities."""
     _check_spot_strike(S, K)
+    for name, value in (("rbar", rbar), ("qbar", qbar), ("sigma2bar", sigma2bar)):
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
     if not sigma2bar > 0.0:
         raise DomainError(f"sigma2bar must be positive, got {sigma2bar}")
     sd = math.sqrt(sigma2bar)

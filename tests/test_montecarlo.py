@@ -22,6 +22,26 @@ def test_path_substreams_align_across_chunks():
     assert np.array_equal(joint[3:], tail)
 
 
+# float.hex of (price, std_error, knockout_fraction) on the two-piece curves
+# with C = 0, recorded before the chunks ran on a thread pool; 3000 paths
+# leave the last chunk partial
+_PINNED = [
+    ((3000, 8, 3), ("0x1.179ca62930093p+3", "0x1.26550c6625adap-2",
+                    "0x1.36a3e88e8e700p-1")),
+    ((40_000, 256, 11), ("0x1.17ed58859bb3cp+3", "0x1.4b8defa62876dp-4",
+                         "0x1.37751f95f21bcp-1")),
+]
+
+
+@pytest.mark.parametrize("shape,bits", _PINNED)
+def test_estimate_keeps_its_bits(td_contract, shape, bits):
+    n_paths, n_steps, seed = shape
+    est = mc_price(100.0, 0.0, td_contract(0.0), n_paths=n_paths,
+                   n_steps=n_steps, seed=seed)
+    assert (est.price.hex(), est.std_error.hex(),
+            est.knockout_fraction.hex()) == bits
+
+
 def test_estimate_reports_refined_step_count(td_contract):
     # three uniform steps plus the curve switch at 0.5 make four
     est = mc_price(100.0, 0.0, td_contract(0.0), n_paths=100, n_steps=3, seed=0)
@@ -96,6 +116,11 @@ def test_input_validation(const_contract):
     lev = const_contract.barrier.level(0.0)
     with pytest.raises(DomainError):
         mc_price(lev, 0.0, const_contract)  # starting on the barrier
+    for bad in ({"n_paths": 100.0}, {"n_steps": 4.5}, {"n_steps": True},
+                {"seed": True}, {"seed": 1.0}):
+        name, value = next(iter(bad.items()))
+        with pytest.raises(DomainError, match=f"{name} must be an integer, got {value!r}"):
+            mc_price(100.0, 0.0, const_contract, **bad)
 
 
 def test_chunking_does_not_change_the_estimate(const_contract, monkeypatch):
@@ -105,3 +130,17 @@ def test_chunking_does_not_change_the_estimate(const_contract, monkeypatch):
     rechunked = mc_price(100.0, 0.0, const_contract, n_paths=3000, n_steps=8,
                          seed=3)
     assert base == rechunked
+
+
+def test_thread_count_does_not_change_the_estimate(const_contract, monkeypatch):
+    import movebar.oracles.montecarlo as mc_mod
+    base = mc_price(100.0, 0.0, const_contract, n_paths=3000, n_steps=8, seed=3)
+    estimates = []
+    chunks = (mc_mod._CHUNK, 700)
+    for workers in (1, 3):
+        monkeypatch.setattr(mc_mod, "_pool_size", lambda: workers)
+        for chunk in chunks:
+            monkeypatch.setattr(mc_mod, "_CHUNK", chunk)
+            estimates.append(mc_price(100.0, 0.0, const_contract, n_paths=3000,
+                                      n_steps=8, seed=3))
+    assert all(est == base for est in estimates)

@@ -9,6 +9,7 @@ import pytest
 
 import movebar as mb
 from movebar import DomainError
+from movebar.vanilla import quote_from_bars
 
 
 def _vanilla(fn):
@@ -36,3 +37,12 @@ PRICERS = {
 def test_non_finite_input_raises_domain_error(const_contract, name, S, t):
     with pytest.raises(DomainError, match="nan|inf"):
         PRICERS[name](S, t, const_contract)
+
+
+@pytest.mark.parametrize("name", ["rbar", "qbar", "sigma2bar"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_curve_integral_raises_domain_error(name, value):
+    bars = {"rbar": 0.05, "qbar": 0.0, "sigma2bar": 0.04, name: value}
+    for side in ("call", "put"):
+        with pytest.raises(DomainError, match=f"{name} must be finite, got {value}"):
+            quote_from_bars(100.0, 100.0, side=side, **bars)

@@ -19,6 +19,14 @@ def test_grid_validation():
         PdeGrid(x_max=1.0, n_space=100, n_time=100, theta=1.5)
 
 
+@pytest.mark.parametrize("counts", [{"n_space": 10.5}, {"n_time": 100.0},
+                                    {"n_space": True}])
+def test_grid_counts_must_be_integers(const_contract, counts):
+    name, value = next(iter(counts.items()))
+    with pytest.raises(DomainError, match=f"{name} must be an integer, got {value!r}"):
+        PdeGrid.for_contract(100.0, 0.0, const_contract, **counts)
+
+
 def test_for_contract_snaps_kink_onto_node(const_contract):
     grid = PdeGrid.for_contract(100.0, 0.0, const_contract)
     kink = math.log(100.0 / 90.0)
