@@ -5,7 +5,10 @@ still at x = 0 and the convection picks up the barrier's growth rate.  The
 coefficients are frozen per time step at the step midpoint, which is exact
 for piecewise-constant curves once the step grid is aligned to the curve
 breakpoints.  The first steps out of the (kinked) payoff are fully implicit
-so the scheme keeps clean second-order behaviour.
+so the scheme keeps clean second-order behaviour.  The price at the spot is
+read off the final grid by the cubic through the four nodes around it
+(4-point Lagrange, stencil clamped to the grid); its O(dx^4) error sits well
+below the scheme's O(dx^2).
 """
 from __future__ import annotations
 
@@ -13,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_banded
 
 from ..contract import BarrierContract
@@ -96,8 +98,11 @@ def pde_price(S: float, t: float, contract: BarrierContract,
     Knock-in styles have no absorbing-boundary PDE of their own; price them
     as vanilla minus knockout.  If tol is given the solve is repeated on a
     half-resolution grid and a Richardson error estimate above tol raises
-    AccuracyError.
+    AccuracyError; a tol that is not a positive finite number raises
+    DomainError.
     """
+    if tol is not None and not (tol > 0.0 and math.isfinite(tol)):
+        raise DomainError(f"tol must be positive and finite, got {tol}")
     if contract.style != "down_and_out":
         raise DomainError("lattice oracle prices down_and_out styles; "
                           "knock-in follows from in + out = vanilla")
@@ -190,4 +195,17 @@ def _solve(S: float, t: float, contract: BarrierContract, grid: PdeGrid) -> floa
         v[1:-1] = interior
         v[-1] = bc_lo
 
-    return float(CubicSpline(x, v)(x_eval))
+    return _cubic_at(v, x_eval / dx)
+
+
+def _cubic_at(v: np.ndarray, pos: float) -> float:
+    """Cubic through the four nodes of v around grid position pos (in units
+    of dx from node 0), the stencil clamped to [0, len(v) - 1]; exact at a
+    node."""
+    j = min(max(int(pos) - 1, 0), len(v) - 4)
+    s = pos - j
+    weights = (-(s - 1.0) * (s - 2.0) * (s - 3.0) / 6.0,
+               s * (s - 2.0) * (s - 3.0) / 2.0,
+               -s * (s - 1.0) * (s - 3.0) / 2.0,
+               s * (s - 1.0) * (s - 2.0) / 6.0)
+    return float(sum(w * v[j + k] for k, w in enumerate(weights)))

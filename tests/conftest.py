@@ -42,30 +42,33 @@ def td_contract(td_curves):
     return make
 
 
-def _draw_curves(rng, t, T, constant):
+def _draw_curves(rng, t, T, constant, pieces=2):
     if constant:
         return mb.CurveSet.constant(float(rng.uniform(0.0, 0.06)),
                                     float(rng.uniform(0.0, 0.06)),
                                     float(rng.uniform(0.15, 0.4)))
-    switch = float(rng.uniform(t + 0.1 * (T - t), T - 0.1 * (T - t)))
-    def two(lo, hi):
-        return float(rng.uniform(lo, hi)), float(rng.uniform(lo, hi))
-    return mb.CurveSet(mb.TermStructure((0.0, switch), two(0.0, 0.06)),
-                       mb.TermStructure((0.0, switch), two(0.0, 0.06)),
-                       mb.TermStructure((0.0, switch), two(0.15, 0.4)))
+    starts = (0.0, *sorted(float(rng.uniform(t + 0.1 * (T - t), T - 0.1 * (T - t)))
+                           for _ in range(pieces - 1)))
+    def each(lo, hi):
+        return tuple(float(rng.uniform(lo, hi)) for _ in starts)
+    return mb.CurveSet(mb.TermStructure(starts, each(0.0, 0.06)),
+                       mb.TermStructure(starts, each(0.0, 0.06)),
+                       mb.TermStructure(starts, each(0.15, 0.4)))
 
 
-def _draw_case(rng, constant=None, side="call", style="down_and_out"):
+def _draw_case(rng, constant=None, side="call", style="down_and_out",
+               pieces=2):
     """One random admissible contract plus an evaluation time.
 
     Ranges keep every draw well inside the regime the closed forms cover:
     strike at or above the terminal barrier, moderate decay constants.
+    Curves are flat or have `pieces` pieces switching inside (t, T).
     """
     t = float(rng.uniform(0.0, 0.5))
     T = t + float(rng.uniform(0.5, 2.0))
     if constant is None:
         constant = bool(rng.integers(0, 2))
-    curves = _draw_curves(rng, t, T, constant)
+    curves = _draw_curves(rng, t, T, constant, pieces)
     K = float(rng.uniform(50.0, 150.0))
     h_T = K * float(rng.uniform(0.75, 0.98))
     C = float(rng.uniform(-1.5, 1.5))

@@ -1,9 +1,13 @@
 """Command-line interface: output shape, exit codes, reproducibility."""
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import movebar
 from movebar.cli import main
 
 FIX = Path(__file__).resolve().parents[1] / "fixtures"
@@ -172,6 +176,30 @@ def test_validate_low_strike_cross_checks_oracles(capsys):
     assert all(r["passed"] for r in body["results"])
     assert body["parameters"]["closed_form"].startswith("skipped")
     assert "no closed form" in err
+
+
+def test_validate_bad_heat_tolerance_is_an_input_error(capsys):
+    rc, out, err = run(capsys, "validate", "--curves", FLAT,
+                       "--contract", KNOCKOUT_CALL, "--spot", "100",
+                       "--time", "0", "--tol-heat", "nan", *VALIDATE_FAST)
+    assert rc == 2
+    assert out == ""
+    assert "tol must be positive and finite, got nan" in err
+
+
+def test_cli_import_leaves_heavy_scipy_subpackages_out():
+    # the CLI's cold start is mostly import time, and nothing in the package
+    # needs these subpackages
+    src = str(Path(movebar.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    code = ("import sys, movebar.cli; print(sorted(m for m in "
+            "('scipy.integrate', 'scipy.interpolate', 'scipy.optimize') "
+            "if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_curves_show_round_trips(capsys):

@@ -1,10 +1,12 @@
 """Quadrature oracle: transformed coordinates and agreement with closed forms."""
 import math
 
+import numpy as np
 import pytest
 
 import movebar as mb
 from movebar import AccuracyError, DomainError, heat_kernel_price, to_heat_coords
+from movebar.oracles.heatkernel import _MAX_PANELS, _adaptive_gauss
 
 
 def test_coordinates_anchor(const_contract):
@@ -69,6 +71,19 @@ def test_matches_closed_form_two_piece(td_contract):
     assert abs(heat_kernel_price(100.0, 0.0, put) - closed) <= 1e-9
 
 
+@pytest.mark.parametrize("pieces", [1, 2, 12])
+@pytest.mark.parametrize("style", ["down_and_out", "down_and_in"])
+@pytest.mark.parametrize("side", ["call", "put"])
+def test_matches_closed_form_on_random_draws(draw_case, side, style, pieces):
+    rng = np.random.default_rng(4100 + pieces)
+    for _ in range(8):
+        con, t = draw_case(rng, constant=pieces == 1, side=side, style=style,
+                           pieces=pieces)
+        S = con.barrier.level(t) * math.exp(float(rng.uniform(0.0, 0.6)))
+        closed = mb.price_contract(S, t, con).price
+        assert abs(heat_kernel_price(S, t, con) - closed) <= 1e-9
+
+
 def test_dropping_the_image_recovers_vanilla(const_contract, const_curves):
     # with the payoff supported above the barrier, the direct kernel alone
     # integrates to the vanilla price
@@ -108,3 +123,28 @@ def test_in_plus_out_equals_vanilla(td_contract, td_curves):
 def test_unattainable_tolerance_raises(const_contract):
     with pytest.raises(AccuracyError):
         heat_kernel_price(100.0, 0.0, const_contract, tol=1e-300)
+
+
+def test_overflowing_integrand_raises_accuracy_error():
+    # 200 years at 200% volatility: e^xi overflows at the top of the window
+    curves = mb.CurveSet.constant(0.05, 0.0, 2.0)
+    bar = mb.barrier_from_terminal(90.0, 0.0, curves, 200.0)
+    con = mb.BarrierContract(strike=100.0, expiry=200.0, side="call",
+                             style="down_and_out", barrier=bar)
+    with pytest.raises(AccuracyError, match="overflowed"):
+        heat_kernel_price(1.2 * bar.level(0.0), 0.0, con)
+
+
+def test_refinement_stops_at_the_panel_cap():
+    # the integral of 1/x over (0, 1] diverges, so halving the first panel
+    # never shrinks its estimate: one evaluation of the starting panel, then
+    # one per split until there are _MAX_PANELS panels
+    calls = []
+
+    def f(xi):
+        calls.append(xi.shape)
+        return 1.0 / xi
+
+    value, abserr = _adaptive_gauss(f, [0.0, 1.0], epsabs=1e-300)
+    assert len(calls) == _MAX_PANELS
+    assert abserr > 1e-13 * value > 0.0

@@ -46,3 +46,10 @@ def test_non_finite_curve_integral_raises_domain_error(name, value):
     for side in ("call", "put"):
         with pytest.raises(DomainError, match=f"{name} must be finite, got {value}"):
             quote_from_bars(100.0, 100.0, side=side, **bars)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-8])
+@pytest.mark.parametrize("name", ["heat_kernel_price", "pde_price"])
+def test_bad_tolerance_raises_domain_error(const_contract, name, tol):
+    with pytest.raises(DomainError, match=f"tol must be positive and finite, got {tol}"):
+        PRICERS[name](100.0, 0.0, const_contract, tol=tol)

@@ -1,11 +1,12 @@
 """Lattice oracle: grid construction, agreement with closed forms, Richardson."""
 import math
 
+import numpy as np
 import pytest
 
 import movebar as mb
 from movebar import AccuracyError, DomainError, PdeGrid, pde_price
-from movebar.oracles.pde import _time_grid
+from movebar.oracles.pde import _cubic_at, _time_grid
 
 
 def test_grid_validation():
@@ -107,3 +108,36 @@ def test_richardson_estimate_gates_accuracy(const_contract):
     closed = mb.down_and_out_call(100.0, 0.0, const_contract).price
     got = pde_price(100.0, 0.0, const_contract, grid=coarse, tol=5e-2)
     assert abs(got - closed) <= 5e-2
+
+
+@pytest.mark.parametrize("side", ["call", "put"])
+@pytest.mark.parametrize("t", [0.0, 0.25])
+def test_zero_on_the_barrier(td_contract, side, t):
+    con = td_contract(1.0, side=side)
+    assert pde_price(con.barrier.level(t), t, con) == 0.0
+
+
+def test_spot_on_the_last_node_takes_the_boundary_value(const_contract):
+    lev = const_contract.barrier.level(0.0)
+    S = 180.0
+    x_spot = math.log(S) - math.log(lev)
+    grid = PdeGrid(x_max=x_spot, n_space=100, n_time=100)
+    assert x_spot / (grid.x_max / grid.n_space) == grid.n_space
+    # the call's Dirichlet value at x_max: S e^{-q tau} - K e^{-r tau}
+    edge = S - const_contract.strike * math.exp(-0.05)
+    assert pde_price(S, 0.0, const_contract, grid=grid) == pytest.approx(edge, rel=1e-14)
+
+
+def test_cubic_stencil_is_exact_on_nodes_and_cubics():
+    v = np.random.default_rng(7).normal(size=11)
+    for k in range(11):
+        assert _cubic_at(v, float(k)) == v[k]
+    # the clamped end stencils included, a cubic is reproduced everywhere
+    def cubic(u):
+        return 0.3 - 1.2 * u + 0.05 * u * u - 0.01 * u ** 3
+    nodes = cubic(np.arange(11.0))
+    for pos in (0.0, 0.4, 1.5, 4.25, 9.3, 9.9, 10.0):
+        assert _cubic_at(nodes, pos) == pytest.approx(cubic(pos), abs=1e-13)
+    # away from the ends the stencil is centred: two nodes on each side
+    centred = (-v[3] + 9.0 * v[4] + 9.0 * v[5] - v[6]) / 16.0
+    assert _cubic_at(v, 4.5) == pytest.approx(centred, rel=1e-14, abs=1e-15)
