@@ -61,15 +61,6 @@ def _bars(contract: BarrierContract, t: float):
     return (cs.integral_r(t, T), cs.integral_q(t, T), cs.integral_sigma2(t, T))
 
 
-def _check_live_inputs(S: float, t: float):
-    if S <= 0.0 or not math.isfinite(S):
-        raise DomainError(f"spot must be positive, got {S}")
-    if math.isnan(t):
-        raise DomainError(f"t={t} is not a number")
-    if t < 0.0:
-        raise DomainError(f"t={t} is negative")
-
-
 def _require_regime(contract: BarrierContract):
     if not contract.in_closed_form_regime:
         raise RegimeError(
@@ -77,8 +68,8 @@ def _require_regime(contract: BarrierContract):
             "no closed form here, use the heat-kernel or PDE pricer")
 
 
-def _power_factor(S: float, level: float, C: float) -> float:
-    log_power = (2.0 * C + 1.0) * (math.log(S) - math.log(level))
+def _power_factor(x: float, C: float) -> float:
+    log_power = (2.0 * C + 1.0) * x
     try:
         return math.exp(log_power)
     except OverflowError:
@@ -145,14 +136,14 @@ def _closed_form(S: float, t: float, contract: BarrierContract, kind: str,
     Knockout styles return leg(S) - power * leg(image); knock-in calls and
     puts return vanilla minus that, and the vanilla itself once S <= h(t).
     """
-    _check_live_inputs(S, t)
+    # t first in min(): a NaN time reaches the check
+    lev, x = contract.locate(S, min(t, contract.expiry))
     if kind != "forward":
         _require_regime(contract)
     if t >= contract.expiry:
         return _expired(S, contract, kind, knock_in)
     bars = _bars(contract, t)
     barrier = contract.barrier
-    lev = barrier.level(t)
     d = (None, None, None, None)
     power = None
     if knock_in and S <= lev:
@@ -165,7 +156,7 @@ def _closed_form(S: float, t: float, contract: BarrierContract, kind: str,
         status = "knocked_out"
     else:
         pairs = [_leg_pair(leg, S, lev, contract, bars) for leg in _LEGS[kind]]
-        power = _power_factor(S, lev, barrier.C)
+        power = _power_factor(x, barrier.C)
         images = [power * at_image[0] for _, at_image in pairs]
         if not all(map(math.isfinite, images)):
             raise DomainError("image term overflows; contract too far outside "
@@ -196,10 +187,9 @@ def d_values(S: float, t: float, contract: BarrierContract):
     volatility sqrt(sigma2bar).  Computed through the same leg evaluation
     the pricers use, so a breakdown carries these exact numbers.
     """
-    _check_live_inputs(S, t)
     if t >= contract.expiry:
         raise DomainError("d values undefined at or past expiry (sigma2bar = 0)")
-    lev = contract.barrier.level(t)
+    lev, _ = contract.locate(S, t)
     (_, d1, d1p), (_, d2, d2p) = _leg_pair(_call_leg, S, lev, contract,
                                            _bars(contract, t))
     return d1, d1p, d2, d2p

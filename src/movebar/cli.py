@@ -11,12 +11,13 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 import time
 
-from .barrier import (_PRICERS, constant_case_parity_gap, down_and_out_call,
-                      down_and_out_put, forward_barrier_value, price_contract)
-from .contract import BarrierContract, load_contract
+from .barrier import (_PRICERS, constant_case_parity_gap,
+                      forward_barrier_value, price_contract)
+from .contract import load_contract
 from .curves import load_curves
 from .errors import AccuracyError, DomainError, LoadError, RegimeError
 from .oracles import PdeGrid, heat_kernel_price, mc_price, pde_price
@@ -74,6 +75,12 @@ def _emit(report: RunReport, csv: bool):
           file=sys.stderr)
 
 
+def _check_tolerance(flag: str, value: float):
+    """Reject a tolerance flag that is not a positive finite number."""
+    if not (value > 0.0 and math.isfinite(value)):
+        raise DomainError(f"{flag} must be positive and finite, got {value}")
+
+
 def _row(name, value, reference=None, tolerance=None):
     err = None if reference is None else abs(value - reference)
     metric = abs(value) if err is None else err
@@ -112,6 +119,7 @@ def cmd_price(args) -> int:
 
 def cmd_parity(args) -> int:
     started = time.perf_counter()
+    _check_tolerance("--tol", args.tol)
     curves, contract, inputs = _load(args)
     S, t = args.spot, args.time
     results = []
@@ -159,6 +167,9 @@ def cmd_parity(args) -> int:
 
 def cmd_validate(args) -> int:
     started = time.perf_counter()
+    # --tol-heat is checked by the quadrature pricer
+    _check_tolerance("--tol-pde", args.tol_pde)
+    _check_tolerance("--mc-sigmas", args.mc_sigmas)
     curves, contract, inputs = _load(args)
     S, t = args.spot, args.time
     out_contract = dataclasses.replace(contract, style="down_and_out")
@@ -171,9 +182,7 @@ def cmd_validate(args) -> int:
 
     closed = None
     if out_contract.in_closed_form_regime:
-        closed_fn = (down_and_out_call if contract.side == "call"
-                     else down_and_out_put)
-        closed = closed_fn(S, t, out_contract).price
+        closed = price_contract(S, t, out_contract).price
     else:
         print("[validate] strike below terminal barrier: no closed form, "
               "oracles cross-compare", file=sys.stderr)
@@ -188,19 +197,16 @@ def cmd_validate(args) -> int:
     if closed is not None:
         results.append(_row("quadrature_vs_closed", heat, reference=closed,
                             tolerance=args.tol_heat))
-        scale = max(abs(closed), 1e-12)
-        results.append(_row("lattice_vs_closed_rel", abs(pde - closed) / scale,
-                            reference=0.0, tolerance=args.tol_pde))
-        results.append(_row("simulation_vs_closed", est.price, reference=closed,
-                            tolerance=args.mc_sigmas * est.std_error))
+        reference, ref_name = closed, "closed"
     else:
-        scale = max(abs(heat), 1e-12)
-        results.append(_row("lattice_vs_quadrature_rel",
-                            abs(pde - heat) / scale,
-                            reference=0.0, tolerance=args.tol_pde))
-        results.append(_row("simulation_vs_quadrature", est.price,
-                            reference=heat,
-                            tolerance=args.mc_sigmas * est.std_error))
+        reference, ref_name = heat, "quadrature"
+    scale = max(abs(reference), 1e-12)
+    results.append(_row(f"lattice_vs_{ref_name}_rel",
+                        abs(pde - reference) / scale,
+                        reference=0.0, tolerance=args.tol_pde))
+    results.append(_row(f"simulation_vs_{ref_name}", est.price,
+                        reference=reference,
+                        tolerance=args.mc_sigmas * est.std_error))
 
     passed = all(r["passed"] for r in results if r["passed"] is not None)
     params["simulation"] = {"std_error": est.std_error,
@@ -225,13 +231,12 @@ def cmd_curves_show(args) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser, need_point: bool = True):
+def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--curves", required=True, help="curve file (JSON)")
     p.add_argument("--contract", required=True, help="contract file (JSON)")
-    if need_point:
-        p.add_argument("--spot", type=float, required=True, help="spot price")
-        p.add_argument("--time", type=float, required=True,
-                       help="valuation time in years")
+    p.add_argument("--spot", type=float, required=True, help="spot price")
+    p.add_argument("--time", type=float, required=True,
+                   help="valuation time in years")
     p.add_argument("--csv", action="store_true",
                    help="flat CSV instead of JSON on stdout")
 

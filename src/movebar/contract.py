@@ -45,7 +45,14 @@ class MovingBarrier:
         cs = self.curves
         drift = (cs.integral_r(t, self.T) - cs.integral_q(t, self.T)
                  + self.C * cs.integral_sigma2(t, self.T))
-        return self.h_T * math.exp(-drift)
+        try:
+            level = self.h_T * math.exp(-drift)
+        except OverflowError:
+            level = math.inf
+        if not 0.0 < level < math.inf:
+            raise DomainError(f"barrier level at t={t} is h_T*exp({-drift:.4g}), "
+                              f"outside the float range; C={self.C} too large")
+        return level
 
     def growth_rate(self, t: float) -> float:
         """Local exponential slope h'(t)/h(t) = r - q + C sigma^2.
@@ -111,6 +118,17 @@ class BarrierContract:
     def in_closed_form_regime(self) -> bool:
         """True when the strike is at or above the terminal barrier level."""
         return self.strike >= self.barrier.h_T
+
+    def locate(self, S: float, t: float) -> tuple:
+        """Barrier level h(t) and x = ln(S/h(t)) at the valuation point.
+
+        The one valuation-point rule every pricer starts from: S must be
+        positive and finite, and 0 <= t <= T (checked by ``level``).
+        """
+        if not (S > 0.0 and math.isfinite(S)):
+            raise DomainError(f"spot must be positive and finite, got {S}")
+        level = self.barrier.level(t)
+        return level, math.log(S) - math.log(level)
 
 
 def contract_from_dict(d: dict, curves: CurveSet) -> BarrierContract:

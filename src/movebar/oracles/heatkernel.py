@@ -52,20 +52,15 @@ def to_heat_coords(S: float, t: float, contract: BarrierContract) -> HeatCoords:
     exponents a_T = C + 1/2 and b_t = -(rbar + a_T^2 tau / 2) that restore
     the price as V = e^{a_T x + b_t} U(x, tau).
     """
-    if not (S > 0.0 and math.isfinite(S)):
-        raise DomainError(f"spot must be positive, got {S}")
-    if not 0.0 <= t <= contract.expiry:
-        raise DomainError(f"t={t} outside [0, {contract.expiry}]")
-    barrier = contract.barrier
-    lev = barrier.level(t)
+    lev, x = contract.locate(S, t)
     if S < lev:
         raise DomainError(f"S={S} below barrier level {lev}")
     cs = contract.curves
     T = contract.expiry
     tau = cs.integral_sigma2(t, T)
-    a_T = barrier.C + 0.5
+    a_T = contract.barrier.C + 0.5
     b_t = -(cs.integral_r(t, T) + 0.5 * a_T * a_T * tau)
-    return HeatCoords(x=math.log(S) - math.log(lev), tau=tau, a_T=a_T, b_t=b_t)
+    return HeatCoords(x=x, tau=tau, a_T=a_T, b_t=b_t)
 
 
 def _payoff_bounds(side: str, kink: float, x: float, tau: float, a_T: float,

@@ -129,10 +129,7 @@ def mc_price(S: float, t: float, contract: BarrierContract,
         raise DomainError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
     if t >= contract.expiry:
         raise DomainError("simulation requires t < T")
-    barrier = contract.barrier
-    lev = barrier.level(t)
-    if not math.isfinite(S):
-        raise DomainError(f"spot must be finite, got {S}")
+    lev, _ = contract.locate(S, t)
     if S <= lev:
         raise DomainError(f"S={S} at or below barrier level {lev}")
 
@@ -146,7 +143,7 @@ def mc_price(S: float, t: float, contract: BarrierContract,
         var[i] = cs.integral_sigma2(a, b)
         drift[i] = cs.integral_r(a, b) - cs.integral_q(a, b) - 0.5 * var[i]
     sd = np.sqrt(var)
-    log_level = np.array([math.log(barrier.level(u)) for u in times])
+    log_level = np.array([math.log(contract.barrier.level(u)) for u in times])
     disc = math.exp(-cs.integral_r(t, T))
     K = contract.strike
     is_call = contract.side == "call"

@@ -29,12 +29,11 @@ _SMOOTHING_STEPS = 2
 
 @dataclass(frozen=True)
 class PdeGrid:
-    """Uniform space grid on [0, x_max], n_time steps, theta weighting."""
+    """Uniform space grid on [0, x_max] and n_time steps."""
 
     x_max: float
     n_space: int
     n_time: int
-    theta: float = 0.5
 
     def __post_init__(self):
         for name in ("n_space", "n_time"):
@@ -45,8 +44,6 @@ class PdeGrid:
             raise DomainError("need n_space >= 4 and n_time >= 4")
         if not (self.x_max > 0.0 and math.isfinite(self.x_max)):
             raise DomainError(f"x_max must be positive, got {self.x_max}")
-        if not 0.0 <= self.theta <= 1.0:
-            raise DomainError(f"theta must be in [0, 1], got {self.theta}")
 
     @classmethod
     def for_contract(cls, S: float, t: float, contract: BarrierContract,
@@ -57,15 +54,11 @@ class PdeGrid:
         count is kept, x_max moves slightly) so the terminal data is exactly
         representable.
         """
-        barrier = contract.barrier
-        lev = barrier.level(t)
-        if not math.isfinite(S):
-            raise DomainError(f"spot must be finite, got {S}")
+        lev, x_spot = contract.locate(S, t)
         if S < lev:
             raise DomainError(f"S={S} below barrier level {lev}")
-        x_spot = math.log(S) - math.log(lev)
         sd = math.sqrt(contract.curves.integral_sigma2(t, contract.expiry))
-        kink = math.log(contract.strike) - math.log(barrier.h_T)
+        kink = math.log(contract.strike) - math.log(contract.barrier.h_T)
         x_max = max(x_spot, kink, 0.0) + _DOMAIN_SDS * sd
         if kink > 0.0:
             j = max(1, round(kink * n_space / x_max))
@@ -113,7 +106,7 @@ def pde_price(S: float, t: float, contract: BarrierContract,
     value = _solve(S, t, contract, grid)
     if tol is not None:
         coarse = PdeGrid(x_max=grid.x_max, n_space=max(4, grid.n_space // 2),
-                         n_time=max(4, grid.n_time // 2), theta=grid.theta)
+                         n_time=max(4, grid.n_time // 2))
         estimate = abs(value - _solve(S, t, contract, coarse)) / 3.0
         if estimate > tol:
             raise AccuracyError(
@@ -127,12 +120,9 @@ def _solve(S: float, t: float, contract: BarrierContract, grid: PdeGrid) -> floa
     cs = contract.curves
     T = contract.expiry
     K = contract.strike
-    lev_t = barrier.level(t)
-    if not math.isfinite(S):
-        raise DomainError(f"spot must be finite, got {S}")
+    lev_t, x_eval = contract.locate(S, t)
     if S < lev_t:
         raise DomainError(f"S={S} below barrier level {lev_t}")
-    x_eval = math.log(S) - math.log(lev_t)
     if x_eval > grid.x_max:
         raise DomainError(f"x={x_eval:.4f} outside grid [0, {grid.x_max:.4f}]")
 
@@ -165,7 +155,7 @@ def _solve(S: float, t: float, contract: BarrierContract, grid: PdeGrid) -> floa
                 yield t_lo, mid, 1.0
                 smoothed += 1
             else:
-                yield t_lo, t_hi, grid.theta
+                yield t_lo, t_hi, 0.5  # Crank-Nicolson
 
     for t_lo, t_hi, theta in substeps():
         dt = t_hi - t_lo

@@ -187,6 +187,26 @@ def test_validate_bad_heat_tolerance_is_an_input_error(capsys):
     assert "tol must be positive and finite, got nan" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["validate", "--tol-pde", "nan"],
+    ["validate", "--tol-pde", "0"],
+    ["validate", "--mc-sigmas", "-1"],
+    ["validate", "--mc-sigmas", "inf"],
+    ["parity", "--tol", "nan"],
+    ["parity", "--tol", "-1e-12"],
+], ids=" ".join)
+def test_bad_tolerance_flag_is_an_input_error(capsys, argv):
+    cmd, flag, value = argv
+    fast = VALIDATE_FAST if cmd == "validate" else []
+    # flag=value: argparse would read "-1e-12" alone as an option
+    rc, out, err = run(capsys, cmd, "--curves", FLAT, "--contract",
+                       KNOCKOUT_CALL, "--spot", "100", "--time", "0",
+                       f"{flag}={value}", *fast)
+    assert rc == 2
+    assert out == ""
+    assert f"{flag} must be positive and finite, got {float(value)}" in err
+
+
 def test_cli_import_leaves_heavy_scipy_subpackages_out():
     # the CLI's cold start is mostly import time, and nothing in the package
     # needs these subpackages

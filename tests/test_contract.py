@@ -53,6 +53,31 @@ def test_level_outside_horizon_rejected(const_curves):
         bar.growth_rate(math.nan)
 
 
+def test_locate_gives_level_and_log_distance(td_curves):
+    con = mb.BarrierContract(strike=100.0, expiry=1.0, side="call",
+                             style="down_and_out",
+                             barrier=mb.barrier_from_terminal(90.0, 0.7,
+                                                              td_curves, 1.0))
+    lev = con.barrier.level(0.25)
+    assert con.locate(120.0, 0.25) == (lev, math.log(120.0) - math.log(lev))
+    assert con.locate(lev, 0.25) == (lev, 0.0)
+    for S in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match="spot must be positive"):
+            con.locate(S, 0.25)
+    for t in (-0.5, 1.5, math.nan):
+        with pytest.raises(DomainError, match=f"t={t} outside"):
+            con.locate(120.0, t)
+
+
+@pytest.mark.parametrize("C", [-1e6, 1e6])
+def test_level_outside_float_range_rejected(const_curves, C):
+    # sigma^2 * |C| = 4e4 puts exp(-drift) far beyond the float range
+    bar = mb.barrier_from_terminal(90.0, C, const_curves, 1.0)
+    with pytest.raises(DomainError, match="outside the float range"):
+        bar.level(0.0)
+    assert bar.level(1.0) == 90.0
+
+
 def test_growth_rate_matches_log_slope(td_curves):
     bar = mb.barrier_from_terminal(90.0, 0.7, td_curves, 1.0)
     # within one curve piece the log level is exactly linear

@@ -1,7 +1,8 @@
-"""Non-finite inputs: every pricer raises DomainError naming the bad value.
+"""Bad inputs: every pricer raises DomainError naming the bad value.
 
-A NaN time or a NaN/infinite spot must never come back as a number (or as
-an untyped error from deep inside the arithmetic).
+A NaN time, a NaN/infinite/non-positive spot or a negative time must never
+come back as a number (or as an untyped error from deep inside the
+arithmetic), and every entry point words the spot rule the same way.
 """
 import math
 
@@ -53,3 +54,28 @@ def test_non_finite_curve_integral_raises_domain_error(name, value):
 def test_bad_tolerance_raises_domain_error(const_contract, name, tol):
     with pytest.raises(DomainError, match=f"tol must be positive and finite, got {tol}"):
         PRICERS[name](100.0, 0.0, const_contract, tol=tol)
+
+
+ENTRY_POINTS = {
+    **{name: PRICERS[name] for name in (
+        "down_and_out_call", "down_and_in_call", "forward_barrier_value",
+        "down_and_out_put", "down_and_in_put", "heat_kernel_price",
+        "mc_price")},
+    "price_contract": mb.price_contract,
+    "d_values": mb.d_values,
+    "to_heat_coords": mb.to_heat_coords,
+    "PdeGrid.for_contract": mb.PdeGrid.for_contract,
+    "pde_price": lambda S, t, c: mb.pde_price(
+        S, t, c, grid=mb.PdeGrid(x_max=2.0, n_space=20, n_time=8)),
+}
+
+
+@pytest.mark.parametrize("S,t,match", [
+    (0.0, 0.0, "spot must be positive"),
+    (-1.0, 0.0, "spot must be positive"),
+    (100.0, -0.5, "-0.5"),
+], ids=["S=0", "S=-1", "t=-0.5"])
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+def test_bad_valuation_point_is_named(const_contract, name, S, t, match):
+    with pytest.raises(DomainError, match=match):
+        ENTRY_POINTS[name](S, t, const_contract)

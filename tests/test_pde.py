@@ -16,8 +16,6 @@ def test_grid_validation():
         PdeGrid(x_max=1.0, n_space=100, n_time=3)
     with pytest.raises(DomainError):
         PdeGrid(x_max=0.0, n_space=100, n_time=100)
-    with pytest.raises(DomainError):
-        PdeGrid(x_max=1.0, n_space=100, n_time=100, theta=1.5)
 
 
 @pytest.mark.parametrize("counts", [{"n_space": 10.5}, {"n_time": 100.0},
