@@ -115,10 +115,21 @@ def _integral(coords: HeatCoords, side: str, h_T: float, K: float,
               kink: float, tol: float, knockout: bool,
               include_image: bool) -> float:
     x, tau, a_T, b_t = coords.x, coords.tau, coords.a_T, coords.b_t
-    prefactor = math.exp(a_T * x + b_t)
+    gauge = a_T * x + b_t
+    try:
+        prefactor = math.exp(gauge)
+    except OverflowError:
+        prefactor = math.inf
     bounds = _payoff_bounds(side, kink, x, tau, a_T, knockout)
-    if bounds is None:
+    # an empty window is worth 0, except when exp(gauge) overflows: the put
+    # window leaves out the gauge drift -a_T*tau, which is then large
+    if bounds is None and prefactor < math.inf:
         return 0.0
+    # a prefactor of 0 would divide the tolerance by zero and make a deep
+    # in-the-money call worth 0
+    if not 0.0 < prefactor < math.inf:
+        raise AccuracyError(f"gauge exponent a_T*x + b_t = {gauge:.6g} puts "
+                            f"the prefactor exp(.) outside the float range")
     lo, hi, pts = bounds
     norm = 1.0 / math.sqrt(2.0 * math.pi * tau)
     two_tau = 2.0 * tau

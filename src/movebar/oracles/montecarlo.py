@@ -6,7 +6,9 @@ multiplies a survival weight by the probability that the bridge between the
 step's endpoints stayed above the barrier.  In the barrier-fixed coordinate
 the barrier is flat and the bridge crossing probability is the classical
 exp(-2 x0 x1 / variance), so the weighted estimator has no discretisation
-bias for this barrier class.
+bias for this barrier class.  The exponent is clamped to [_E_MIN, 0]: below
+_E_MIN the factor 1 - exp(.) is exactly 1.0 already, and numpy's exp is many
+times slower on the large negative exponents of paths far from the barrier.
 
 Randomness comes from counter-mode Philox keyed by the seed: path p consumes
 the counter blocks starting at p * ceil(n_steps/4), so chunks of paths are
@@ -16,8 +18,9 @@ its paths' terminal log-spots and survival weights into arrays shared by all
 chunks, and the estimate is reduced from them once at the end.  Estimates are
 therefore bit-identical for a given (seed, n_paths, n_steps) whatever the
 thread count or chunk size.  Working memory is bounded by the chunk size:
-each running chunk holds about 16 bytes per path-step (32 MB for 8192 paths
-x 256 steps), and the reduction a few floats per path.
+each running chunk holds its normals, 8 bytes per path-step, plus one tile
+of raw words (about 17 MB for 8192 paths x 256 steps), and the reduction a
+few floats per path.
 """
 from __future__ import annotations
 
@@ -30,11 +33,16 @@ import numpy as np
 from scipy.special import ndtri
 
 from ..contract import BarrierContract
-from ..errors import DomainError
+from ..errors import AccuracyError, DomainError
 from .pde import _time_grid
 
 _CHUNK = 8192
+# paths per draw of raw Philox words; 256 x 256 steps is 512 KB
+_TILE = 256
 _U64_SCALE = 2.0 ** -53
+# floor of the crossing exponent: exp(e) < 2**-54 for e <= -37.5, so
+# 1 - exp(e) is exactly 1.0 there and the clamp changes no weight
+_E_MIN = -40.0
 
 
 @dataclass(frozen=True)
@@ -53,19 +61,21 @@ def _chunk_normals(seed: int, path_lo: int, n_paths: int, n_steps: int) -> np.nd
 
     Each path owns ceil(n_steps/4) whole 4x64-bit counter blocks; uniforms
     take the top 53 bits, centred, and go through the inverse normal CDF.
-    The result is the transpose of a C-contiguous (steps, paths) array, so
-    a walk over steps reads contiguous rows of ``.T``.
+    The raw words are drawn and transposed one tile of _TILE paths at a
+    time, so the transpose stays in cache.  The result is the transpose of a
+    C-contiguous (steps, paths) array, so a walk over steps reads contiguous
+    rows of ``.T``.
     """
-    blocks_per_path = (n_steps + 3) // 4
+    words = (n_steps + 3) // 4 * 4
     bg = np.random.Philox(key=seed)
     if path_lo:
-        bg.advance(path_lo * blocks_per_path)
-    raw = bg.random_raw(n_paths * blocks_per_path * 4)
-    raw = raw.reshape(n_paths, blocks_per_path * 4)[:, :n_steps]
-    raw >>= np.uint64(11)
+        bg.advance(path_lo * words // 4)
     z = np.empty((n_steps, n_paths))
-    np.add(raw.T, 0.5, out=z)
-    del raw
+    for p0 in range(0, n_paths, _TILE):
+        p1 = min(p0 + _TILE, n_paths)
+        raw = bg.random_raw((p1 - p0) * words).reshape(p1 - p0, words)
+        raw >>= np.uint64(11)
+        np.add(raw[:, :n_steps].T, 0.5, out=z[:, p0:p1])
     np.multiply(z, _U64_SCALE, out=z)
     ndtri(z, out=z)
     return z.T
@@ -102,7 +112,7 @@ def _walk_chunk(seed, lo, x, w, x0, drift, sd, var, log_level):
         np.multiply(-2.0, rel0, out=expo)
         np.multiply(expo, rel1, out=expo)
         np.divide(expo, var[i], out=expo)
-        np.minimum(expo, 0.0, out=expo)
+        np.clip(expo, _E_MIN, 0.0, out=expo)
         np.exp(expo, out=expo)
         np.subtract(1.0, expo, out=expo)
         np.multiply(w, expo, out=w)
@@ -116,7 +126,8 @@ def mc_price(S: float, t: float, contract: BarrierContract,
 
     Knockout styles weight the payoff by the path's survival probability;
     knock-in styles by its complement.  std_error is the usual sample
-    standard error of the per-path discounted values.
+    standard error of the per-path discounted values.  Raises AccuracyError
+    if the price or std_error is not finite.
     """
     for name, value in (("n_paths", n_paths), ("n_steps", n_steps),
                         ("seed", seed)):
@@ -159,13 +170,18 @@ def mc_price(S: float, t: float, contract: BarrierContract,
                    for lo in los]
         for future in futures:
             future.result()
-    s_T = np.exp(x)
-    pay = np.maximum(s_T - K, 0.0) if is_call else np.maximum(K - s_T, 0.0)
-    weight = (1.0 - w) if knock_in else w
-    values = disc * pay * weight
-    lost = 1.0 - w
-
-    price = float(np.mean(values))
-    std_error = float(np.std(values, ddof=1) / math.sqrt(n_paths))
+    # a far spot can overflow the payoffs or their spread; that is reported
+    # below as an AccuracyError, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        s_T = np.exp(x)
+        pay = np.maximum(s_T - K, 0.0) if is_call else np.maximum(K - s_T, 0.0)
+        weight = (1.0 - w) if knock_in else w
+        values = disc * pay * weight
+        price = float(np.mean(values))
+        std_error = float(np.std(values, ddof=1) / math.sqrt(n_paths))
+    for name, value in (("price", price), ("std_error", std_error)):
+        if not math.isfinite(value):
+            raise AccuracyError(f"simulation {name} is {value}: the payoffs "
+                                f"leave the float range")
     return McEstimate(price=price, std_error=std_error, n_paths=n_paths,
-                      n_steps=steps, knockout_fraction=float(np.mean(lost)))
+                      n_steps=steps, knockout_fraction=float(np.mean(1.0 - w)))

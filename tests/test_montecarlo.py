@@ -6,7 +6,7 @@ import pytest
 
 import movebar as mb
 from movebar import DomainError, mc_price
-from movebar.oracles.montecarlo import _chunk_normals
+from movebar.oracles.montecarlo import _E_MIN, _chunk_normals
 
 
 def test_bit_identical_for_same_seed(const_contract):
@@ -23,23 +23,41 @@ def test_path_substreams_align_across_chunks():
 
 
 # float.hex of (price, std_error, knockout_fraction) on the two-piece curves
-# with C = 0, recorded before the chunks ran on a thread pool; 3000 paths
-# leave the last chunk partial
+# with C = 0.  The first two were recorded before the chunks ran on a thread
+# pool; 3000 paths leave the last chunk partial.  The others were recorded
+# before the crossing exponent was clamped, on shapes whose exponents land
+# below -745 (exp underflows to 0), in the subnormal band [-745, -708] and
+# exactly at 0 (an endpoint at or below the barrier).  Spot None is one part
+# in 1e4 above h(0); 8193 paths leave a one-path chunk.
 _PINNED = [
-    ((3000, 8, 3), ("0x1.179ca62930093p+3", "0x1.26550c6625adap-2",
-                    "0x1.36a3e88e8e700p-1")),
-    ((40_000, 256, 11), ("0x1.17ed58859bb3cp+3", "0x1.4b8defa62876dp-4",
-                         "0x1.37751f95f21bcp-1")),
+    ((100.0, "call", "down_and_out", 3000, 8, 3),
+     ("0x1.179ca62930093p+3", "0x1.26550c6625adap-2", "0x1.36a3e88e8e700p-1")),
+    ((100.0, "call", "down_and_out", 40_000, 256, 11),
+     ("0x1.17ed58859bb3cp+3", "0x1.4b8defa62876dp-4", "0x1.37751f95f21bcp-1")),
+    ((None, "call", "down_and_out", 8193, 256, 5),
+     ("0x1.8c22b9827a3c6p-8", "0x1.d19d1be4b460dp-11", "0x1.ffd7168af1e42p-1")),
+    ((250.0, "put", "down_and_in", 8193, 64, 17),
+     ("0x1.80eb2c0c9ce25p-10", "0x1.80eb2c0c9ce24p-10", "0x1.fff0007ffc002p-14")),
+    ((None, "put", "down_and_in", 3000, 8, 3),
+     ("0x1.be86d8da5ef68p+3", "0x1.f409effdd52a8p-3", "0x1.ffd88327934e8p-1")),
 ]
 
 
 @pytest.mark.parametrize("shape,bits", _PINNED)
 def test_estimate_keeps_its_bits(td_contract, shape, bits):
-    n_paths, n_steps, seed = shape
-    est = mc_price(100.0, 0.0, td_contract(0.0), n_paths=n_paths,
-                   n_steps=n_steps, seed=seed)
+    spot, side, style, n_paths, n_steps, seed = shape
+    con = td_contract(0.0, side=side, style=style)
+    S = con.barrier.level(0.0) * (1.0 + 1e-4) if spot is None else spot
+    est = mc_price(S, 0.0, con, n_paths=n_paths, n_steps=n_steps, seed=seed)
     assert (est.price.hex(), est.std_error.hex(),
             est.knockout_fraction.hex()) == bits
+
+
+def test_clamped_exponent_leaves_the_weight_factor_unchanged():
+    # below the clamp exp(e) < 2**-54, so 1 - exp(e) rounds to exactly 1.0
+    expo = np.linspace(-745.2, _E_MIN, 200_001)
+    assert np.all(1.0 - np.exp(expo) == 1.0)
+    assert 1.0 - math.exp(_E_MIN) == 1.0
 
 
 def test_estimate_reports_refined_step_count(td_contract):

@@ -2,7 +2,9 @@
 
 A NaN time, a NaN/infinite/non-positive spot or a negative time must never
 come back as a number (or as an untyped error from deep inside the
-arithmetic), and every entry point words the spot rule the same way.
+arithmetic), and every entry point words the spot rule the same way.  A
+valid input that pushes an oracle's arithmetic out of the float range raises
+AccuracyError rather than returning inf or an untyped error.
 """
 import math
 
@@ -79,3 +81,32 @@ ENTRY_POINTS = {
 def test_bad_valuation_point_is_named(const_contract, name, S, t, match):
     with pytest.raises(DomainError, match=match):
         ENTRY_POINTS[name](S, t, const_contract)
+
+
+def _flat(C, side="call"):
+    curves = mb.CurveSet.constant(0.05, 0.01, 0.2)
+    bar = mb.barrier_from_terminal(90.0, C, curves, 1.0)
+    return mb.BarrierContract(strike=100.0, expiry=1.0, side=side,
+                              style="down_and_out", barrier=bar)
+
+
+def test_simulation_with_overflowing_payoffs_raises_accuracy_error():
+    # the payoffs are finite near 1e300 but their spread is not
+    with pytest.raises(mb.AccuracyError, match="std_error is inf"):
+        mb.mc_price(1e300, 0.0, _flat(0.0), n_paths=1000, n_steps=8)
+
+
+# the put's integration window comes out empty at C = 400, though the
+# simulation prices it near 0.9
+@pytest.mark.parametrize("C,S,side", [(-2.0, 1e300, "call"),
+                                      (600.0, 100.0, "call"),
+                                      (400.0, 100.0, "put")],
+                         ids=["underflow", "overflow", "overflow-put"])
+def test_gauge_prefactor_outside_float_range_raises_accuracy_error(C, S, side):
+    with pytest.raises(mb.AccuracyError, match="gauge exponent"):
+        mb.heat_kernel_price(S, 0.0, _flat(C, side))
+
+
+def test_empty_window_with_tiny_prefactor_is_worth_zero():
+    # a put far out of the money: exp(gauge) underflows, the window is empty
+    assert mb.heat_kernel_price(1e300, 0.0, _flat(-2.0, "put")) == 0.0
