@@ -18,9 +18,13 @@ its paths' terminal log-spots and survival weights into arrays shared by all
 chunks, and the estimate is reduced from them once at the end.  Estimates are
 therefore bit-identical for a given (seed, n_paths, n_steps) whatever the
 thread count or chunk size.  Working memory is bounded by the chunk size:
-each running chunk holds its normals, 8 bytes per path-step, plus one tile
-of raw words (about 17 MB for 8192 paths x 256 steps), and the reduction a
-few floats per path.
+each worker holds the normals of one chunk, 8 bytes per path-step, plus one
+tile of raw words (about 17 MB for 8192 paths x 256 steps), and the
+reduction a few floats per path.  The workers' normals buffers are one block
+allocated by the calling thread and reused for every chunk: buffers
+allocated and freed on the worker threads stay cached in the allocator's
+per-thread arenas, and the peak memory then depends on which thread ran
+which chunk.
 """
 from __future__ import annotations
 
@@ -56,7 +60,8 @@ class McEstimate:
     knockout_fraction: float
 
 
-def _chunk_normals(seed: int, path_lo: int, n_paths: int, n_steps: int) -> np.ndarray:
+def _chunk_normals(seed: int, path_lo: int, n_paths: int, n_steps: int,
+                   out: np.ndarray | None = None) -> np.ndarray:
     """Standard normals for paths [path_lo, path_lo + n_paths), shape (paths, steps).
 
     Each path owns ceil(n_steps/4) whole 4x64-bit counter blocks; uniforms
@@ -64,13 +69,17 @@ def _chunk_normals(seed: int, path_lo: int, n_paths: int, n_steps: int) -> np.nd
     The raw words are drawn and transposed one tile of _TILE paths at a
     time, so the transpose stays in cache.  The result is the transpose of a
     C-contiguous (steps, paths) array, so a walk over steps reads contiguous
-    rows of ``.T``.
+    rows of ``.T``.  That array is the head of ``out`` (a 1-D float array of
+    at least n_paths * n_steps) when it is given, and new otherwise.
     """
     words = (n_steps + 3) // 4 * 4
     bg = np.random.Philox(key=seed)
     if path_lo:
         bg.advance(path_lo * words // 4)
-    z = np.empty((n_steps, n_paths))
+    if out is None:
+        z = np.empty((n_steps, n_paths))
+    else:
+        z = out[:n_steps * n_paths].reshape(n_steps, n_paths)
     for p0 in range(0, n_paths, _TILE):
         p1 = min(p0 + _TILE, n_paths)
         raw = bg.random_raw((p1 - p0) * words).reshape(p1 - p0, words)
@@ -89,13 +98,14 @@ def _pool_size() -> int:
         return os.cpu_count() or 1
 
 
-def _walk_chunk(seed, lo, x, w, x0, drift, sd, var, log_level):
+def _walk_chunk(seed, lo, x, w, x0, drift, sd, var, log_level, out):
     """Walk paths [lo, lo + len(x)) from log-spot x0.
 
     Leaves each path's terminal log-spot in ``x`` and its survival weight in
-    ``w``.  Runs on worker threads, so it calls only numpy and scipy.
+    ``w``; ``out`` is passed on to _chunk_normals.  Runs on worker threads,
+    so it calls only numpy and scipy.
     """
-    z = _chunk_normals(seed, lo, len(x), len(var)).T
+    z = _chunk_normals(seed, lo, len(x), len(var), out).T
     x.fill(x0)
     w.fill(1.0)
     rel0 = x - log_level[0]
@@ -164,12 +174,19 @@ def mc_price(S: float, t: float, contract: BarrierContract,
     x = np.empty(n_paths)
     w = np.empty(n_paths)
     los = range(0, n_paths, _CHUNK)
-    with ThreadPoolExecutor(min(_pool_size(), len(los))) as pool:
-        futures = [pool.submit(_walk_chunk, int(seed), lo, x[lo:lo + _CHUNK],
-                               w[lo:lo + _CHUNK], x0, drift, sd, var, log_level)
-                   for lo in los]
-        for future in futures:
+    workers = min(_pool_size(), len(los))
+    normals = np.empty((workers, min(_CHUNK, n_paths) * steps))
+
+    def walk(k):
+        # worker k walks every workers-th chunk with its own normals buffer
+        for lo in los[k::workers]:
+            _walk_chunk(int(seed), lo, x[lo:lo + _CHUNK], w[lo:lo + _CHUNK],
+                        x0, drift, sd, var, log_level, normals[k])
+
+    with ThreadPoolExecutor(workers) as pool:
+        for future in [pool.submit(walk, k) for k in range(workers)]:
             future.result()
+    del normals
     # a far spot can overflow the payoffs or their spread; that is reported
     # below as an AccuracyError, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
