@@ -126,7 +126,11 @@ _LEGS = {"call": (_call_leg,), "forward": (_forward_leg,),
 def _leg_pair(leg, S: float, lev: float, contract: BarrierContract, bars):
     """The leg at S and at the image spot h*(h/S), each (value, d, d')."""
     K, h_T = contract.strike, contract.barrier.h_T
-    return leg(S, K, h_T, *bars), leg(lev * (lev / S), K, h_T, *bars)
+    image = lev * (lev / S)
+    if image == 0.0:
+        raise DomainError(f"image spot h(t)^2/S underflows to 0 at S={S}, "
+                          f"h(t)={lev}; spot too far above the barrier")
+    return leg(S, K, h_T, *bars), leg(image, K, h_T, *bars)
 
 
 def _closed_form(S: float, t: float, contract: BarrierContract, kind: str,

@@ -29,24 +29,6 @@ TOL_PDE_REL = 5e-4
 MC_SIGMAS = 3.0
 
 
-@dataclasses.dataclass
-class RunReport:
-    """One command's structured result; timing stays off stdout so output
-    is reproducible byte for byte."""
-
-    command: str
-    inputs: dict
-    parameters: dict
-    results: list
-    passed: bool
-    timing_s: float = 0.0
-
-    def stdout_dict(self) -> dict:
-        return {"command": self.command, "inputs": self.inputs,
-                "parameters": self.parameters, "results": self.results,
-                "passed": self.passed}
-
-
 def _digest(path: str) -> str:
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
@@ -61,18 +43,25 @@ def _load(args) -> tuple:
     return curves, contract, inputs
 
 
-def _emit(report: RunReport, csv: bool):
+def _report(command: str, inputs: dict, parameters: dict, results: list,
+            csv: bool, started: float) -> int:
+    """Print the result rows on stdout and the timing on stderr, so stdout
+    is reproducible byte for byte; return the exit status."""
+    passed = all(r["passed"] for r in results if r["passed"] is not None)
     if csv:
         print("name,value,reference,error,tolerance,passed")
-        for row in report.results:
+        for row in results:
             print(",".join("" if row.get(k) is None else repr(row.get(k))
                            if isinstance(row.get(k), float) else str(row.get(k))
                            for k in ("name", "value", "reference", "error",
                                      "tolerance", "passed")))
     else:
-        print(json.dumps(report.stdout_dict(), indent=2))
-    print(f"[{report.command}] finished in {report.timing_s:.3f}s",
+        print(json.dumps({"command": command, "inputs": inputs,
+                          "parameters": parameters, "results": results,
+                          "passed": passed}, indent=2))
+    print(f"[{command}] finished in {time.perf_counter() - started:.3f}s",
           file=sys.stderr)
+    return 0 if passed else 1
 
 
 def _check_tolerance(flag: str, value: float):
@@ -156,13 +145,8 @@ def cmd_parity(args) -> int:
         results.append(_row("flat_parity_gap_printed_form", gap_printed,
                             reference=0.0, tolerance=None))
 
-    passed = all(r["passed"] for r in results if r["passed"] is not None)
-    report = RunReport(command="parity", inputs=inputs,
-                       parameters={"spot": S, "time": t, "tol": args.tol},
-                       results=results, passed=passed,
-                       timing_s=time.perf_counter() - started)
-    _emit(report, args.csv)
-    return 0 if passed else 1
+    return _report("parity", inputs, {"spot": S, "time": t, "tol": args.tol},
+                   results, args.csv, started)
 
 
 def cmd_validate(args) -> int:
@@ -208,17 +192,12 @@ def cmd_validate(args) -> int:
                         reference=reference,
                         tolerance=args.mc_sigmas * est.std_error))
 
-    passed = all(r["passed"] for r in results if r["passed"] is not None)
     params["simulation"] = {"std_error": est.std_error,
                             "knockout_fraction": est.knockout_fraction,
                             "n_paths": est.n_paths, "n_steps": est.n_steps}
     if closed is None:
         params["closed_form"] = "skipped: strike below terminal barrier"
-    report = RunReport(command="validate", inputs=inputs, parameters=params,
-                       results=results, passed=passed,
-                       timing_s=time.perf_counter() - started)
-    _emit(report, args.csv)
-    return 0 if passed else 1
+    return _report("validate", inputs, params, results, args.csv, started)
 
 
 def cmd_curves_show(args) -> int:

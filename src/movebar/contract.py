@@ -7,12 +7,11 @@ forms, oracles) takes the barrier through this type.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Literal
 
-from .curves import CurveSet
+from .curves import CurveSet, _read_json
 from .errors import DomainError, LoadError
 
 C_MAX = 1e6
@@ -161,19 +160,7 @@ def contract_from_dict(d: dict, curves: CurveSet) -> BarrierContract:
 
 def load_contract(path: str, curves: CurveSet) -> BarrierContract:
     """Read a BarrierContract from a JSON file against the given curves."""
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise LoadError(f"{path}: {exc.strerror or exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise LoadError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    if not isinstance(raw, dict):
-        raise LoadError(f"{path}: expected a JSON object at top level")
-    try:
-        return contract_from_dict(raw, curves)
-    except LoadError as exc:
-        raise LoadError(f"{path}: {exc}") from exc
+    return _read_json(path, lambda raw: contract_from_dict(raw, curves))
 
 
 __all__ = [

@@ -151,8 +151,8 @@ class CurveSet:
             raise LoadError(str(exc)) from exc
 
 
-def load_curves(path: str) -> CurveSet:
-    """Read a CurveSet from a JSON file; see README for the schema."""
+def _read_json(path: str, build):
+    """build(obj) for the JSON object in the file; LoadErrors name the file."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -163,6 +163,11 @@ def load_curves(path: str) -> CurveSet:
     if not isinstance(raw, dict):
         raise LoadError(f"{path}: expected a JSON object at top level")
     try:
-        return CurveSet.from_dict(raw)
+        return build(raw)
     except LoadError as exc:
         raise LoadError(f"{path}: {exc}") from exc
+
+
+def load_curves(path: str) -> CurveSet:
+    """Read a CurveSet from a JSON file; see README for the schema."""
+    return _read_json(path, CurveSet.from_dict)

@@ -74,7 +74,9 @@ def _payoff_bounds(side: str, kink: float, x: float, tau: float, a_T: float,
         if knockout and kink <= 0.0:
             return None  # payoff support entirely below the barrier
         hi = kink
-        lo = max(0.0, x - _TAIL_SDS * sd) if knockout else x - _TAIL_SDS * sd
+        # below both kernel centres, x and x - a_T*tau, as hi is for calls
+        lo = min(x, x - a_T * tau) - _TAIL_SDS * sd
+        lo = max(0.0, lo) if knockout else lo
         if lo >= hi:
             return None
     pts = [p for p in (x,) if lo < p < hi]
@@ -82,13 +84,13 @@ def _payoff_bounds(side: str, kink: float, x: float, tau: float, a_T: float,
 
 
 def heat_kernel_price(S: float, t: float, contract: BarrierContract,
-                      tol: float = 1e-10, include_image: bool = True) -> float:
+                      tol: float = 1e-10) -> float:
     """Price the contract by adaptive quadrature in the heat frame.
 
-    Knockout styles integrate the two-term kernel on the half-line; knock-in
-    styles are priced as the no-barrier integral minus the knockout one.
-    include_image=False drops the reflected kernel term (diagnostic: with the
-    payoff supported above the barrier this reproduces the vanilla price).
+    Knockout styles integrate the two-term kernel, direct minus reflected,
+    on the half-line; knock-in styles are priced as the direct kernel's
+    integral over the whole line (the no-barrier price) minus the knockout
+    one.
 
     Raises AccuracyError if the quadrature error estimate exceeds tol, and
     DomainError if tol is not a positive finite number.
@@ -98,33 +100,27 @@ def heat_kernel_price(S: float, t: float, contract: BarrierContract,
     if t >= contract.expiry:
         raise DomainError("quadrature pricer requires t < T")
     coords = to_heat_coords(S, t, contract)
-    h_T = contract.barrier.h_T
-    K = contract.strike
-    kink = math.log(K) - math.log(h_T)
     if contract.style == "down_and_in":
-        whole = _integral(coords, contract.side, h_T, K, kink, tol / 2.0,
-                          knockout=False, include_image=False)
-        out = _integral(coords, contract.side, h_T, K, kink, tol / 2.0,
-                        knockout=True, include_image=include_image)
-        return whole - out
-    return _integral(coords, contract.side, h_T, K, kink, tol,
-                     knockout=True, include_image=include_image)
+        whole = _integral(coords, contract, tol / 2.0, knockout=False)
+        return whole - _integral(coords, contract, tol / 2.0, knockout=True)
+    return _integral(coords, contract, tol, knockout=True)
 
 
-def _integral(coords: HeatCoords, side: str, h_T: float, K: float,
-              kink: float, tol: float, knockout: bool,
-              include_image: bool) -> float:
+def _integral(coords: HeatCoords, contract: BarrierContract, tol: float,
+              knockout: bool) -> float:
+    """The payoff against the direct kernel, minus the reflected kernel
+    when knockout, on the knockout (half-line) or the whole-line window."""
     x, tau, a_T, b_t = coords.x, coords.tau, coords.a_T, coords.b_t
+    K, h_T = contract.strike, contract.barrier.h_T
+    kink = math.log(K) - math.log(h_T)
+    bounds = _payoff_bounds(contract.side, kink, x, tau, a_T, knockout)
+    if bounds is None:
+        return 0.0
     gauge = a_T * x + b_t
     try:
         prefactor = math.exp(gauge)
     except OverflowError:
         prefactor = math.inf
-    bounds = _payoff_bounds(side, kink, x, tau, a_T, knockout)
-    # an empty window is worth 0, except when exp(gauge) overflows: the put
-    # window leaves out the gauge drift -a_T*tau, which is then large
-    if bounds is None and prefactor < math.inf:
-        return 0.0
     # a prefactor of 0 would divide the tolerance by zero and make a deep
     # in-the-money call worth 0
     if not 0.0 < prefactor < math.inf:
@@ -133,11 +129,11 @@ def _integral(coords: HeatCoords, side: str, h_T: float, K: float,
     lo, hi, pts = bounds
     norm = 1.0 / math.sqrt(2.0 * math.pi * tau)
     two_tau = 2.0 * tau
-    sign = 1.0 if side == "call" else -1.0
+    sign = 1.0 if contract.side == "call" else -1.0
 
     def integrand(xi: np.ndarray) -> np.ndarray:
         k = np.exp(-((x - xi) ** 2) / two_tau)
-        if include_image:
+        if knockout:
             k -= np.exp(-((x + xi) ** 2) / two_tau)
         pay = sign * (np.exp(xi) * h_T - K)
         return norm * k * np.exp(-a_T * xi) * pay

@@ -60,26 +60,21 @@ class McEstimate:
     knockout_fraction: float
 
 
-def _chunk_normals(seed: int, path_lo: int, n_paths: int, n_steps: int,
-                   out: np.ndarray | None = None) -> np.ndarray:
-    """Standard normals for paths [path_lo, path_lo + n_paths), shape (paths, steps).
+def _chunk_normals(seed: int, path_lo: int, z: np.ndarray) -> np.ndarray:
+    """Fill z, a C-contiguous (steps, paths) array, with the standard normals
+    of paths [path_lo, path_lo + paths) and return it.
 
-    Each path owns ceil(n_steps/4) whole 4x64-bit counter blocks; uniforms
+    Each path owns ceil(steps/4) whole 4x64-bit counter blocks; uniforms
     take the top 53 bits, centred, and go through the inverse normal CDF.
     The raw words are drawn and transposed one tile of _TILE paths at a
-    time, so the transpose stays in cache.  The result is the transpose of a
-    C-contiguous (steps, paths) array, so a walk over steps reads contiguous
-    rows of ``.T``.  That array is the head of ``out`` (a 1-D float array of
-    at least n_paths * n_steps) when it is given, and new otherwise.
+    time, so the transpose stays in cache.  Row i holds step i of every
+    path, so a walk over steps reads contiguous rows.
     """
+    n_steps, n_paths = z.shape
     words = (n_steps + 3) // 4 * 4
     bg = np.random.Philox(key=seed)
     if path_lo:
         bg.advance(path_lo * words // 4)
-    if out is None:
-        z = np.empty((n_steps, n_paths))
-    else:
-        z = out[:n_steps * n_paths].reshape(n_steps, n_paths)
     for p0 in range(0, n_paths, _TILE):
         p1 = min(p0 + _TILE, n_paths)
         raw = bg.random_raw((p1 - p0) * words).reshape(p1 - p0, words)
@@ -87,7 +82,7 @@ def _chunk_normals(seed: int, path_lo: int, n_paths: int, n_steps: int,
         np.add(raw[:, :n_steps].T, 0.5, out=z[:, p0:p1])
     np.multiply(z, _U64_SCALE, out=z)
     ndtri(z, out=z)
-    return z.T
+    return z
 
 
 def _pool_size() -> int:
@@ -98,20 +93,22 @@ def _pool_size() -> int:
         return os.cpu_count() or 1
 
 
-def _walk_chunk(seed, lo, x, w, x0, drift, sd, var, log_level, out):
+def _walk_chunk(seed, lo, x, w, x0, drift, sd, var, log_level, buf):
     """Walk paths [lo, lo + len(x)) from log-spot x0.
 
     Leaves each path's terminal log-spot in ``x`` and its survival weight in
-    ``w``; ``out`` is passed on to _chunk_normals.  Runs on worker threads,
-    so it calls only numpy and scipy.
+    ``w``.  The paths' normals go into the head of ``buf``, a 1-D float
+    array of at least len(x) * len(var), viewed as (steps, paths).  Runs on
+    worker threads, so it calls only numpy and scipy.
     """
-    z = _chunk_normals(seed, lo, len(x), len(var), out).T
+    steps = len(var)
+    z = _chunk_normals(seed, lo, buf[:steps * len(x)].reshape(steps, len(x)))
     x.fill(x0)
     w.fill(1.0)
     rel0 = x - log_level[0]
     rel1 = np.empty_like(x)
     expo = np.empty_like(x)
-    for i in range(len(var)):
+    for i in range(steps):
         # same roundings as x_next = x + drift + sd*z and
         # expo = -2*rel0*rel1/var written as single expressions
         np.multiply(sd[i], z[i], out=expo)

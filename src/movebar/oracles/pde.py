@@ -157,16 +157,17 @@ def _solve(S: float, t: float, contract: BarrierContract, grid: PdeGrid) -> floa
             else:
                 yield t_lo, t_hi, 0.5  # Crank-Nicolson
 
+    # the band matrix of the implicit part, refilled every step; v[0] stays 0
+    ab = np.empty((3, n - 1))
     for t_lo, t_hi, theta in substeps():
         dt = t_hi - t_lo
         mid = 0.5 * (t_lo + t_hi)
         sig = cs.sigma.value_at(mid)
         sig2 = sig * sig
-        conv = (cs.r.value_at(mid) - cs.q.value_at(mid) - 0.5 * sig2
-                - barrier.growth_rate(mid))
-        react = -cs.r.value_at(mid)
+        r = cs.r.value_at(mid)
+        conv = r - cs.q.value_at(mid) - 0.5 * sig2 - barrier.growth_rate(mid)
         alpha = 0.5 * sig2 / (dx * dx) - 0.5 * conv / dx
-        beta = -sig2 / (dx * dx) + react
+        beta = -sig2 / (dx * dx) - r
         gamma = 0.5 * sig2 / (dx * dx) + 0.5 * conv / dx
 
         rhs = v[1:-1] + (1.0 - theta) * dt * (
@@ -174,15 +175,10 @@ def _solve(S: float, t: float, contract: BarrierContract, grid: PdeGrid) -> floa
         bc_lo = boundary(t_lo)
         rhs[-1] += theta * dt * gamma * bc_lo
 
-        ab = np.empty((3, n - 1))
-        ab[0, :] = -theta * dt * gamma
-        ab[1, :] = 1.0 - theta * dt * beta
-        ab[2, :] = -theta * dt * alpha
-        interior = solve_banded((1, 1), ab, rhs)
-
-        v = np.empty(n + 1)
-        v[0] = 0.0
-        v[1:-1] = interior
+        ab[0] = -theta * dt * gamma
+        ab[1] = 1.0 - theta * dt * beta
+        ab[2] = -theta * dt * alpha
+        v[1:-1] = solve_banded((1, 1), ab, rhs)
         v[-1] = bc_lo
 
     return _cubic_at(v, x_eval / dx)

@@ -17,8 +17,8 @@ def test_bit_identical_for_same_seed(const_contract):
 
 def test_path_substreams_align_across_chunks():
     # path p's normals depend only on (seed, p, n_steps), not on the batch
-    joint = _chunk_normals(9, 0, 7, 10)
-    tail = _chunk_normals(9, 3, 4, 10)
+    joint = _chunk_normals(9, 0, np.empty((10, 7))).T
+    tail = _chunk_normals(9, 3, np.empty((10, 4))).T
     assert np.array_equal(joint[3:], tail)
 
 

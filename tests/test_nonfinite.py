@@ -7,11 +7,13 @@ valid input that pushes an oracle's arithmetic out of the float range raises
 AccuracyError rather than returning inf or an untyped error.
 """
 import math
+import re
 
 import pytest
 
 import movebar as mb
 from movebar import DomainError
+from movebar.oracles.heatkernel import _payoff_bounds
 from movebar.vanilla import quote_from_bars
 
 
@@ -96,8 +98,37 @@ def test_simulation_with_overflowing_payoffs_raises_accuracy_error():
         mb.mc_price(1e300, 0.0, _flat(0.0), n_paths=1000, n_steps=8)
 
 
-# the put's integration window comes out empty at C = 400, though the
-# simulation prices it near 0.9
+@pytest.mark.parametrize("r,C", [(0.05, 1000.0), (50.0, -2.0)])
+@pytest.mark.parametrize("name", [
+    "forward_barrier_value", "down_and_out_call", "down_and_in_call",
+    "down_and_out_put", "down_and_in_put", "d_values"])
+def test_underflowing_image_spot_raises_domain_error(name, r, C):
+    # h(t)^2/S is 0.0 in floating point, a spot the caller never gave
+    curves = mb.CurveSet.constant(r, 0.01, 0.2)
+    bar = mb.barrier_from_terminal(90.0, C, curves, 1.0)
+    side = "put" if name.endswith("put") else "call"
+    style = "down_and_in" if "_in_" in name else "down_and_out"
+    con = mb.BarrierContract(strike=100.0, expiry=1.0, side=side,
+                             style=style, barrier=bar)
+    fn = mb.d_values if name == "d_values" else PRICERS[name]
+    named = re.escape(f"S=1e+300, h(t)={bar.level(0.0)!r}")
+    with pytest.raises(DomainError, match=named):
+        fn(1e300, 0.0, con)
+
+
+def test_far_knockout_put_window_holds_the_drifted_kernel():
+    # at C = 400 the kernel's centre x - a_T*tau lies near the strike while x
+    # itself is 16 above the barrier; the simulation prices this put near 0.9
+    con = _flat(400.0, "put")
+    co = mb.to_heat_coords(100.0, 0.0, con)
+    kink = math.log(100.0 / 90.0)
+    bounds = _payoff_bounds("put", kink, co.x, co.tau, co.a_T, knockout=True)
+    assert bounds is not None
+    lo, hi, _ = bounds
+    assert lo == 0.0 and hi == kink
+
+
+# the C = 400 put's window is not empty, but exp(gauge) overflows
 @pytest.mark.parametrize("C,S,side", [(-2.0, 1e300, "call"),
                                       (600.0, 100.0, "call"),
                                       (400.0, 100.0, "put")],
