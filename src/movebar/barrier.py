@@ -55,12 +55,6 @@ class PriceBreakdown:
         return asdict(self)
 
 
-def _bars(contract: BarrierContract, t: float):
-    cs = contract.curves
-    T = contract.expiry
-    return (cs.integral_r(t, T), cs.integral_q(t, T), cs.integral_sigma2(t, T))
-
-
 def _require_regime(contract: BarrierContract):
     if not contract.in_closed_form_regime:
         raise RegimeError(
@@ -141,12 +135,11 @@ def _closed_form(S: float, t: float, contract: BarrierContract, kind: str,
     puts return vanilla minus that, and the vanilla itself once S <= h(t).
     """
     # t first in min(): a NaN time reaches the check
-    lev, x = contract.locate(S, min(t, contract.expiry))
+    lev, x, bars = contract.locate(S, min(t, contract.expiry))
     if kind != "forward":
         _require_regime(contract)
     if t >= contract.expiry:
         return _expired(S, contract, kind, knock_in)
-    bars = _bars(contract, t)
     barrier = contract.barrier
     d = (None, None, None, None)
     power = None
@@ -192,10 +185,10 @@ def d_values(S: float, t: float, contract: BarrierContract):
     the pricers use, so a breakdown carries these exact numbers.
     """
     if t >= contract.expiry:
-        raise DomainError("d values undefined at or past expiry (sigma2bar = 0)")
-    lev, _ = contract.locate(S, t)
-    (_, d1, d1p), (_, d2, d2p) = _leg_pair(_call_leg, S, lev, contract,
-                                           _bars(contract, t))
+        raise DomainError(f"d values need t < T (sigma2bar > 0), "
+                          f"got t={t}, T={contract.expiry}")
+    lev, _, bars = contract.locate(S, t)
+    (_, d1, d1p), (_, d2, d2p) = _leg_pair(_call_leg, S, lev, contract, bars)
     return d1, d1p, d2, d2p
 
 

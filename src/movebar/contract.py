@@ -39,11 +39,14 @@ class MovingBarrier:
 
     def level(self, t: float) -> float:
         """Barrier level at time t, exact for the piecewise-constant curves."""
+        return self.level_and_bars(t)[0]
+
+    def level_and_bars(self, t: float) -> tuple:
+        """h(t) and the (rbar, qbar, sigma2bar) over [t, T] it is built from."""
         if not 0.0 <= t <= self.T:
             raise DomainError(f"t={t} outside [0, {self.T}]")
-        cs = self.curves
-        drift = (cs.integral_r(t, self.T) - cs.integral_q(t, self.T)
-                 + self.C * cs.integral_sigma2(t, self.T))
+        bars = rbar, qbar, sigma2bar = self.curves.bars(t, self.T)
+        drift = rbar - qbar + self.C * sigma2bar
         try:
             level = self.h_T * math.exp(-drift)
         except OverflowError:
@@ -51,7 +54,7 @@ class MovingBarrier:
         if not 0.0 < level < math.inf:
             raise DomainError(f"barrier level at t={t} is h_T*exp({-drift:.4g}), "
                               f"outside the float range; C={self.C} too large")
-        return level
+        return level, bars
 
     def growth_rate(self, t: float) -> float:
         """Local exponential slope h'(t)/h(t) = r - q + C sigma^2.
@@ -79,9 +82,8 @@ def c_from_levels(h_t0: float, t0: float, h_T: float, T: float,
         raise DomainError("barrier levels must be positive")
     if not t0 < T:
         raise DomainError(f"need t0 < T, got t0={t0}, T={T}")
-    s2 = curves.integral_sigma2(t0, T)
-    rq = curves.integral_r(t0, T) - curves.integral_q(t0, T)
-    c = -(rq + math.log(h_t0 / h_T)) / s2
+    rbar, qbar, s2 = curves.bars(t0, T)
+    c = -((rbar - qbar) + math.log(h_t0 / h_T)) / s2
     if abs(c) > C_MAX:
         raise DomainError(f"implied |C|={abs(c):.3g} exceeds {C_MAX:g}")
     return c
@@ -119,15 +121,16 @@ class BarrierContract:
         return self.strike >= self.barrier.h_T
 
     def locate(self, S: float, t: float) -> tuple:
-        """Barrier level h(t) and x = ln(S/h(t)) at the valuation point.
+        """Barrier level h(t), x = ln(S/h(t)) and the curve integrals
+        (rbar, qbar, sigma2bar) over [t, T] at the valuation point.
 
         The one valuation-point rule every pricer starts from: S must be
-        positive and finite, and 0 <= t <= T (checked by ``level``).
+        positive and finite, and 0 <= t <= T (checked by the barrier).
         """
         if not (S > 0.0 and math.isfinite(S)):
             raise DomainError(f"spot must be positive and finite, got {S}")
-        level = self.barrier.level(t)
-        return level, math.log(S) - math.log(level)
+        level, bars = self.barrier.level_and_bars(t)
+        return level, math.log(S) - math.log(level), bars
 
 
 def contract_from_dict(d: dict, curves: CurveSet) -> BarrierContract:

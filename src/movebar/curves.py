@@ -102,9 +102,11 @@ class TermStructure:
 class CurveSet:
     """Rate, yield and volatility curves sharing the horizon [0, inf).
 
-    The sigma curve stores volatilities, not variances; ``integral_sigma2``
-    integrates the square.  Every sigma value must be at least SIGMA_MIN so
-    the variance clock is strictly increasing.
+    Prices depend on the curves only through ``bars(t, T)``, the integrals
+    (rbar, qbar, sigma2bar) of r, q and sigma^2 over [t, T].  The sigma
+    curve stores volatilities, not variances; ``bars`` integrates the
+    square.  Every sigma value must be at least SIGMA_MIN so the variance
+    clock is strictly increasing.
     """
 
     r: TermStructure
@@ -125,14 +127,10 @@ class CurveSet:
                    TermStructure.constant(q),
                    TermStructure.constant(sigma))
 
-    def integral_r(self, t: float, T: float) -> float:
-        return self.r.integral(t, T)
-
-    def integral_q(self, t: float, T: float) -> float:
-        return self.q.integral(t, T)
-
-    def integral_sigma2(self, t: float, T: float) -> float:
-        return self.sigma.integral_squared(t, T)
+    def bars(self, t: float, T: float) -> tuple[float, float, float]:
+        """(rbar, qbar, sigma2bar): the integrals of r, q and sigma^2 over [t, T]."""
+        return (self.r.integral(t, T), self.q.integral(t, T),
+                self.sigma.integral_squared(t, T))
 
     def to_dict(self) -> dict:
         return {"r": self.r.to_dict(), "q": self.q.to_dict(),

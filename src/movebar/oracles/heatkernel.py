@@ -52,14 +52,11 @@ def to_heat_coords(S: float, t: float, contract: BarrierContract) -> HeatCoords:
     exponents a_T = C + 1/2 and b_t = -(rbar + a_T^2 tau / 2) that restore
     the price as V = e^{a_T x + b_t} U(x, tau).
     """
-    lev, x = contract.locate(S, t)
+    lev, x, (rbar, _, tau) = contract.locate(S, t)
     if S < lev:
         raise DomainError(f"S={S} below barrier level {lev}")
-    cs = contract.curves
-    T = contract.expiry
-    tau = cs.integral_sigma2(t, T)
     a_T = contract.barrier.C + 0.5
-    b_t = -(cs.integral_r(t, T) + 0.5 * a_T * a_T * tau)
+    b_t = -(rbar + 0.5 * a_T * a_T * tau)
     return HeatCoords(x=x, tau=tau, a_T=a_T, b_t=b_t)
 
 
@@ -98,7 +95,8 @@ def heat_kernel_price(S: float, t: float, contract: BarrierContract,
     if not (tol > 0.0 and math.isfinite(tol)):
         raise DomainError(f"tol must be positive and finite, got {tol}")
     if t >= contract.expiry:
-        raise DomainError("quadrature pricer requires t < T")
+        raise DomainError(f"quadrature pricer requires t < T, "
+                          f"got t={t}, T={contract.expiry}")
     coords = to_heat_coords(S, t, contract)
     if contract.style == "down_and_in":
         whole = _integral(coords, contract, tol / 2.0, knockout=False)

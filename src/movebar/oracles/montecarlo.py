@@ -146,8 +146,8 @@ def mc_price(S: float, t: float, contract: BarrierContract,
     if not 0 <= int(seed) < 2 ** 64:
         raise DomainError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
     if t >= contract.expiry:
-        raise DomainError("simulation requires t < T")
-    lev, _ = contract.locate(S, t)
+        raise DomainError(f"simulation requires t < T, got t={t}, T={contract.expiry}")
+    lev, _, (rbar, _, _) = contract.locate(S, t)
     if S <= lev:
         raise DomainError(f"S={S} at or below barrier level {lev}")
 
@@ -158,11 +158,11 @@ def mc_price(S: float, t: float, contract: BarrierContract,
     drift = np.empty(steps)
     var = np.empty(steps)
     for i, (a, b) in enumerate(zip(times[:-1], times[1:])):
-        var[i] = cs.integral_sigma2(a, b)
-        drift[i] = cs.integral_r(a, b) - cs.integral_q(a, b) - 0.5 * var[i]
+        r, q, var[i] = cs.bars(a, b)
+        drift[i] = r - q - 0.5 * var[i]
     sd = np.sqrt(var)
     log_level = np.array([math.log(contract.barrier.level(u)) for u in times])
-    disc = math.exp(-cs.integral_r(t, T))
+    disc = math.exp(-rbar)
     K = contract.strike
     is_call = contract.side == "call"
     knock_in = contract.style == "down_and_in"

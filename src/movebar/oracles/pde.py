@@ -52,16 +52,16 @@ class PdeGrid:
 
         The payoff kink ln(K/h_T) is snapped onto a grid node (the node
         count is kept, x_max moves slightly) so the terminal data is exactly
-        representable.
+        representable; a kink that rounds to node 0 stays off the grid, as
+        its snap would collapse the domain.
         """
-        lev, x_spot = contract.locate(S, t)
+        lev, x_spot, (_, _, sigma2bar) = contract.locate(S, t)
         if S < lev:
             raise DomainError(f"S={S} below barrier level {lev}")
-        sd = math.sqrt(contract.curves.integral_sigma2(t, contract.expiry))
         kink = math.log(contract.strike) - math.log(contract.barrier.h_T)
-        x_max = max(x_spot, kink, 0.0) + _DOMAIN_SDS * sd
-        if kink > 0.0:
-            j = max(1, round(kink * n_space / x_max))
+        x_max = max(x_spot, kink, 0.0) + _DOMAIN_SDS * math.sqrt(sigma2bar)
+        j = round(kink * n_space / x_max)
+        if j >= 1:
             x_max = kink * n_space / j
         return cls(x_max=x_max, n_space=n_space, n_time=n_time)
 
@@ -100,7 +100,7 @@ def pde_price(S: float, t: float, contract: BarrierContract,
         raise DomainError("lattice oracle prices down_and_out styles; "
                           "knock-in follows from in + out = vanilla")
     if t >= contract.expiry:
-        raise DomainError("lattice pricer requires t < T")
+        raise DomainError(f"lattice pricer requires t < T, got t={t}, T={contract.expiry}")
     if grid is None:
         grid = PdeGrid.for_contract(S, t, contract)
     value = _solve(S, t, contract, grid)
@@ -120,11 +120,18 @@ def _solve(S: float, t: float, contract: BarrierContract, grid: PdeGrid) -> floa
     cs = contract.curves
     T = contract.expiry
     K = contract.strike
-    lev_t, x_eval = contract.locate(S, t)
+    lev_t, x_eval, _ = contract.locate(S, t)
     if S < lev_t:
         raise DomainError(f"S={S} below barrier level {lev_t}")
     if x_eval > grid.x_max:
         raise DomainError(f"x={x_eval:.4f} outside grid [0, {grid.x_max:.4f}]")
+    try:  # the terminal spots and the call boundary reach h_T*exp(x_max)
+        exp_top = math.exp(grid.x_max)
+    except OverflowError:
+        exp_top = math.inf
+    if barrier.h_T * exp_top == math.inf:
+        raise DomainError(f"h_T*exp(x_max) overflows at x_max={grid.x_max:.6g}, "
+                          f"S={S}: spot too far above the barrier")
 
     n = grid.n_space
     dx = grid.x_max / n
@@ -138,9 +145,8 @@ def _solve(S: float, t: float, contract: BarrierContract, grid: PdeGrid) -> floa
     def boundary(time: float) -> float:
         if not is_call:
             return 0.0
-        rbar = cs.integral_r(time, T)
-        qbar = cs.integral_q(time, T)
-        return (math.exp(-qbar) * math.exp(grid.x_max) * barrier.level(time)
+        level, (rbar, qbar, _) = barrier.level_and_bars(time)
+        return (math.exp(-qbar) * exp_top * level
                 - K * math.exp(-rbar))
 
     times = _time_grid(t, T, grid.n_time, contract)

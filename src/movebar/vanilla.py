@@ -68,8 +68,7 @@ def _vanilla(S: float, t: float, K: float, T: float, curves: CurveSet,
         pay = max(S - K, 0.0) if side == "call" else max(K - S, 0.0)
         return VanillaQuote(price=pay, d1=None, d1_prime=None,
                             discount_r=1.0, discount_q=1.0)
-    return quote_from_bars(S, K, curves.integral_r(t, T), curves.integral_q(t, T),
-                           curves.integral_sigma2(t, T), side)
+    return quote_from_bars(S, K, *curves.bars(t, T), side)
 
 
 def vanilla_call(S: float, t: float, K: float, T: float,

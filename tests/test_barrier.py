@@ -74,9 +74,7 @@ def test_d2_is_d1_at_image_spot(td_contract):
     lev = con.barrier.level(0.2)
     S = 1.2 * lev
     d1, _, d2, d2p = mb.d_values(S, 0.2, con)
-    rbar = con.curves.integral_r(0.2, T0)
-    qbar = con.curves.integral_q(0.2, T0)
-    s2 = con.curves.integral_sigma2(0.2, T0)
+    rbar, qbar, s2 = con.curves.bars(0.2, T0)
     sd = math.sqrt(s2)
     # textbook form with the explicit image spot h^2/S
     ref = (math.log(lev * lev / (S * K0)) + rbar - qbar + 0.5 * s2) / sd

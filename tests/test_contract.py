@@ -59,14 +59,33 @@ def test_locate_gives_level_and_log_distance(td_curves):
                              barrier=mb.barrier_from_terminal(90.0, 0.7,
                                                               td_curves, 1.0))
     lev = con.barrier.level(0.25)
-    assert con.locate(120.0, 0.25) == (lev, math.log(120.0) - math.log(lev))
-    assert con.locate(lev, 0.25) == (lev, 0.0)
+    bars = td_curves.bars(0.25, 1.0)
+    assert con.locate(120.0, 0.25) == (lev, math.log(120.0) - math.log(lev), bars)
+    assert con.locate(lev, 0.25) == (lev, 0.0, bars)
     for S in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(DomainError, match="spot must be positive"):
             con.locate(S, 0.25)
     for t in (-0.5, 1.5, math.nan):
         with pytest.raises(DomainError, match=f"t={t} outside"):
             con.locate(120.0, t)
+
+
+@pytest.mark.parametrize("price", [mb.down_and_out_call, mb.down_and_in_put,
+                                   mb.to_heat_coords])
+def test_valuation_point_integrates_each_curve_once(td_contract, monkeypatch,
+                                                    price):
+    # the pricers read (rbar, qbar, sigma2bar) from locate: one sum per curve
+    calls = []
+    overlap_sum = mb.TermStructure._overlap_sum
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return overlap_sum(self, *args, **kwargs)
+
+    monkeypatch.setattr(mb.TermStructure, "_overlap_sum", counted)
+    con = td_contract(0.7, side="put", style="down_and_in")
+    price(120.0, 0.25, con)
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("C", [-1e6, 1e6])

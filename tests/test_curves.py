@@ -127,11 +127,11 @@ def test_curve_set_sigma_floor():
 
 
 def test_curve_set_integrals(td_curves):
-    assert td_curves.integral_r(0.0, 1.0) == pytest.approx(0.04, rel=1e-15)
-    assert td_curves.integral_q(0.0, 1.0) == pytest.approx(0.01, rel=1e-15)
-    assert td_curves.integral_sigma2(0.0, 1.0) == pytest.approx(0.05625, rel=1e-14)
-    assert (td_curves.integral_sigma2(0.25, 1.0)
-            == pytest.approx(0.050625, rel=1e-14))
+    rbar, qbar, sigma2bar = td_curves.bars(0.0, 1.0)
+    assert rbar == pytest.approx(0.04, rel=1e-15)
+    assert qbar == pytest.approx(0.01, rel=1e-15)
+    assert sigma2bar == pytest.approx(0.05625, rel=1e-14)
+    assert td_curves.bars(0.25, 1.0)[2] == pytest.approx(0.050625, rel=1e-14)
 
 
 def test_curve_set_round_trip(td_curves):

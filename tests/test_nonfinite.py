@@ -85,9 +85,18 @@ def test_bad_valuation_point_is_named(const_contract, name, S, t, match):
         ENTRY_POINTS[name](S, t, const_contract)
 
 
-def _flat(C, side="call"):
+@pytest.mark.parametrize("t", [1.0, 1.5])
+@pytest.mark.parametrize("name", ["heat_kernel_price", "pde_price", "mc_price",
+                                  "d_values"])
+def test_no_time_to_expiry_names_the_time(const_contract, name, t):
+    fn = mb.d_values if name == "d_values" else PRICERS[name]
+    with pytest.raises(DomainError, match=re.escape(f"got t={t}, T=1.0")):
+        fn(100.0, t, const_contract)
+
+
+def _flat(C, side="call", h_T=90.0):
     curves = mb.CurveSet.constant(0.05, 0.01, 0.2)
-    bar = mb.barrier_from_terminal(90.0, C, curves, 1.0)
+    bar = mb.barrier_from_terminal(h_T, C, curves, 1.0)
     return mb.BarrierContract(strike=100.0, expiry=1.0, side=side,
                               style="down_and_out", barrier=bar)
 
@@ -96,6 +105,15 @@ def test_simulation_with_overflowing_payoffs_raises_accuracy_error():
     # the payoffs are finite near 1e300 but their spread is not
     with pytest.raises(mb.AccuracyError, match="std_error is inf"):
         mb.mc_price(1e300, 0.0, _flat(0.0), n_paths=1000, n_steps=8)
+
+
+# exp(x_max) itself overflows, or only h_T*exp(x_max) does
+@pytest.mark.parametrize("h_T,S", [(1e-3, 1e306), (90.0, 1.7e308)],
+                         ids=["exp", "h_T*exp"])
+def test_lattice_grid_top_outside_float_range_raises_domain_error(h_T, S):
+    with pytest.raises(DomainError, match=re.escape(f"S={S}")) as info:
+        mb.pde_price(S, 0.0, _flat(1.0, h_T=h_T))
+    assert "x_max=" in str(info.value)
 
 
 @pytest.mark.parametrize("r,C", [(0.05, 1000.0), (50.0, -2.0)])

@@ -34,6 +34,18 @@ def test_for_contract_snaps_kink_onto_node(const_contract):
     assert grid.x_max > kink
 
 
+@pytest.mark.parametrize("h_T", [99.95, 99.99])
+def test_kink_next_to_the_barrier_keeps_the_domain(h_T):
+    # ln(K/h_T) rounds to node 0: snapping it onto node 1 would shrink x_max
+    # to the kink, far below the 8-sd domain and, at 99.99, the spot
+    curves = mb.CurveSet.constant(0.05, 0.01, 0.2)
+    con = mb.BarrierContract(strike=100.0, expiry=1.0, side="call",
+                             style="down_and_out",
+                             barrier=mb.barrier_from_terminal(h_T, -1.25, curves, 1.0))
+    closed = mb.down_and_out_call(110.0, 0.0, con).price
+    assert abs(pde_price(110.0, 0.0, con) - closed) / closed <= 1e-5
+
+
 def test_for_contract_rejects_spot_below_barrier(const_contract):
     lev = const_contract.barrier.level(0.0)
     with pytest.raises(DomainError):

@@ -59,8 +59,7 @@ def test_anchors_two_piece_curves(td_curves):
 
 def test_put_call_parity(const_curves, td_curves):
     for curves in (const_curves, td_curves):
-        rbar = curves.integral_r(0.1, 1.0)
-        qbar = curves.integral_q(0.1, 1.0)
+        rbar, qbar, _ = curves.bars(0.1, 1.0)
         for S in (60.0, 90.0, 100.0, 140.0, 250.0):
             call = mb.vanilla_call(S, 0.1, 100.0, 1.0, curves).price
             put = mb.vanilla_put(S, 0.1, 100.0, 1.0, curves).price
