@@ -22,7 +22,8 @@ from functools import reduce
 from operator import sub
 from typing import Optional
 
-from .contract import BarrierContract
+from .contract import BarrierContract, barrier_from_terminal
+from .curves import CurveSet
 from .errors import DomainError, RegimeError
 from .vanilla import norm_cdf, quote_from_bars
 
@@ -255,9 +256,6 @@ def constant_case_parity_gap(S: float, t: float, S_B: float, a_rate: float,
     instead of N(d1) on the spot leg, reproducing a sign-of-typo variant
     whose gap is systematically nonzero; the CLI reports both.
     """
-    from .curves import CurveSet
-    from .contract import barrier_from_terminal, BarrierContract as _BC
-
     if sigma <= 0.0:
         raise DomainError(f"sigma must be positive, got {sigma}")
     tau = T - t
@@ -266,8 +264,8 @@ def constant_case_parity_gap(S: float, t: float, S_B: float, a_rate: float,
     curves = CurveSet.constant(r, q, sigma)
     C = -(r - q - a_rate) / (sigma * sigma)
     barrier = barrier_from_terminal(S_B, C, curves, T)
-    contract = _BC(strike=K, expiry=T, side="call", style="down_and_out",
-                   barrier=barrier)
+    contract = BarrierContract(strike=K, expiry=T, side="call",
+                               style="down_and_out", barrier=barrier)
     c_do = down_and_out_call(S, t, contract).price
     p_do = down_and_out_put(S, t, contract).price
 

@@ -11,7 +11,6 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import math
 import sys
 import time
 
@@ -19,7 +18,8 @@ from .barrier import (_PRICERS, constant_case_parity_gap,
                       forward_barrier_value, price_contract)
 from .contract import load_contract
 from .curves import load_curves
-from .errors import AccuracyError, DomainError, LoadError, RegimeError
+from .errors import (AccuracyError, DomainError, LoadError, RegimeError,
+                     check_tolerance)
 from .oracles import PdeGrid, heat_kernel_price, mc_price, pde_price
 from .vanilla import vanilla_call, vanilla_put
 
@@ -64,12 +64,6 @@ def _report(command: str, inputs: dict, parameters: dict, results: list,
     return 0 if passed else 1
 
 
-def _check_tolerance(flag: str, value: float):
-    """Reject a tolerance flag that is not a positive finite number."""
-    if not (value > 0.0 and math.isfinite(value)):
-        raise DomainError(f"{flag} must be positive and finite, got {value}")
-
-
 def _row(name, value, reference=None, tolerance=None):
     err = None if reference is None else abs(value - reference)
     metric = abs(value) if err is None else err
@@ -108,7 +102,7 @@ def cmd_price(args) -> int:
 
 def cmd_parity(args) -> int:
     started = time.perf_counter()
-    _check_tolerance("--tol", args.tol)
+    check_tolerance("--tol", args.tol)
     curves, contract, inputs = _load(args)
     S, t = args.spot, args.time
     results = []
@@ -132,13 +126,10 @@ def cmd_parity(args) -> int:
     if all(len(curve.values) == 1 for curve in (cs.r, cs.q, cs.sigma)):
         r, q, sig = cs.r.values[0], cs.q.values[0], cs.sigma.values[0]
         a_rate = r - q + contract.barrier.C * sig * sig
-        gap = constant_case_parity_gap(S, t, contract.barrier.h_T, a_rate,
-                                       contract.strike, contract.expiry,
-                                       r, q, sig)
-        gap_printed = constant_case_parity_gap(S, t, contract.barrier.h_T,
-                                               a_rate, contract.strike,
-                                               contract.expiry, r, q, sig,
-                                               printed=True)
+        gap, gap_printed = (constant_case_parity_gap(
+            S, t, contract.barrier.h_T, a_rate, contract.strike,
+            contract.expiry, r, q, sig, printed=printed)
+            for printed in (False, True))
         results.append(_row("flat_parity_gap_corrected", gap,
                             reference=0.0, tolerance=args.tol))
         # informational: the uncorrected variant gaps by a whole N() term
@@ -152,8 +143,8 @@ def cmd_parity(args) -> int:
 def cmd_validate(args) -> int:
     started = time.perf_counter()
     # --tol-heat is checked by the quadrature pricer
-    _check_tolerance("--tol-pde", args.tol_pde)
-    _check_tolerance("--mc-sigmas", args.mc_sigmas)
+    check_tolerance("--tol-pde", args.tol_pde)
+    check_tolerance("--mc-sigmas", args.mc_sigmas)
     curves, contract, inputs = _load(args)
     S, t = args.spot, args.time
     out_contract = dataclasses.replace(contract, style="down_and_out")

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Literal
 
-from .curves import CurveSet, _read_json
+from .curves import CurveSet, _as_float, _read_json
 from .errors import DomainError, LoadError
 
 C_MAX = 1e6
@@ -55,18 +55,6 @@ class MovingBarrier:
             raise DomainError(f"barrier level at t={t} is h_T*exp({-drift:.4g}), "
                               f"outside the float range; C={self.C} too large")
         return level, bars
-
-    def growth_rate(self, t: float) -> float:
-        """Local exponential slope h'(t)/h(t) = r - q + C sigma^2.
-
-        Curve lookups are right-continuous, so at a breakpoint this returns
-        the slope of the interval starting there.
-        """
-        if not 0.0 <= t <= self.T:
-            raise DomainError(f"t={t} outside [0, {self.T}]")
-        cs = self.curves
-        sig = cs.sigma.value_at(t)
-        return cs.r.value_at(t) - cs.q.value_at(t) + self.C * sig * sig
 
 
 def barrier_from_terminal(h_T: float, C: float, curves: CurveSet,
@@ -141,20 +129,23 @@ def contract_from_dict(d: dict, curves: CurveSet) -> BarrierContract:
     bspec = d["barrier"]
     if not isinstance(bspec, dict):
         raise LoadError("contract field 'barrier' must be an object")
-    T = float(d["expiry"])
+
+    def field(key):  # a missing key is reported below
+        return _as_float(bspec[key], f"barrier field {key!r}")
+
+    T = _as_float(d["expiry"], "contract field 'expiry'")
     try:
         if "C" in bspec:
-            barrier = barrier_from_terminal(float(bspec["h_T"]), float(bspec["C"]),
-                                            curves, T)
+            barrier = barrier_from_terminal(field("h_T"), field("C"), curves, T)
         elif {"h_t0", "t0", "h_T"} <= set(bspec):
-            c = c_from_levels(float(bspec["h_t0"]), float(bspec["t0"]),
-                              float(bspec["h_T"]), T, curves)
-            barrier = barrier_from_terminal(float(bspec["h_T"]), c, curves, T)
+            c = c_from_levels(field("h_t0"), field("t0"), field("h_T"), T, curves)
+            barrier = barrier_from_terminal(field("h_T"), c, curves, T)
         else:
             raise LoadError(
                 "barrier needs either {h_T, C} or {h_t0, t0, h_T}")
-        return BarrierContract(strike=float(d["strike"]), expiry=T,
-                               side=d["side"], style=d["style"], barrier=barrier)
+        strike = _as_float(d["strike"], "contract field 'strike'")
+        return BarrierContract(strike=strike, expiry=T, side=d["side"],
+                               style=d["style"], barrier=barrier)
     except KeyError as exc:
         raise LoadError(f"barrier missing field {exc}") from exc
     except DomainError as exc:
@@ -165,9 +156,3 @@ def load_contract(path: str, curves: CurveSet) -> BarrierContract:
     """Read a BarrierContract from a JSON file against the given curves."""
     return _read_json(path, lambda raw: contract_from_dict(raw, curves))
 
-
-__all__ = [
-    "MovingBarrier", "BarrierContract", "barrier_from_terminal",
-    "c_from_levels", "contract_from_dict", "load_contract",
-    "C_MAX", "Side", "Style",
-]

@@ -68,7 +68,12 @@ class TermStructure:
 
     def _overlap_sum(self, t: float, T: float, squared: bool) -> float:
         """Sum of value (or value^2) times the overlap of each piece with [t, T]."""
-        self._check_window(t, T)
+        if math.isnan(t) or math.isnan(T):
+            raise DomainError(f"integration window [{t}, {T}] is not a number")
+        if T < t:
+            raise DomainError(f"integration window reversed: [{t}, {T}]")
+        if t < self.start:
+            raise DomainError(f"t={t} precedes curve start {self.start}")
         total = 0.0
         for i, v in enumerate(self.values):
             lo = self.breakpoints[i]
@@ -79,21 +84,14 @@ class TermStructure:
                 total += (v * v if squared else v) * (b - a)
         return total
 
-    def _check_window(self, t: float, T: float):
-        if math.isnan(t) or math.isnan(T):
-            raise DomainError(f"integration window [{t}, {T}] is not a number")
-        if T < t:
-            raise DomainError(f"integration window reversed: [{t}, {T}]")
-        if t < self.start:
-            raise DomainError(f"t={t} precedes curve start {self.start}")
-
     def to_dict(self) -> dict:
         return {"breakpoints": list(self.breakpoints), "values": list(self.values)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "TermStructure":
         try:
-            return cls(tuple(d["breakpoints"]), tuple(d["values"]))
+            return cls(*(tuple(_as_float(v, f"curve {key}") for v in d[key])
+                         for key in ("breakpoints", "values")))
         except (KeyError, TypeError) as exc:
             raise LoadError(f"bad curve entry: {exc}") from exc
 
@@ -147,6 +145,14 @@ class CurveSet:
                        TermStructure.from_dict(d["sigma"]))
         except DomainError as exc:
             raise LoadError(str(exc)) from exc
+
+
+def _as_float(value, name: str) -> float:
+    """float(value), or a LoadError naming the field and the value."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise LoadError(f"{name} must be numeric, got {value!r}") from exc
 
 
 def _read_json(path: str, build):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..contract import BarrierContract
-from ..errors import AccuracyError, DomainError
+from ..errors import AccuracyError, DomainError, check_tolerance
 
 # kernel mass beyond peak + _TAIL_SDS standard deviations is below 1e-300
 _TAIL_SDS = 42.0
@@ -92,8 +92,7 @@ def heat_kernel_price(S: float, t: float, contract: BarrierContract,
     Raises AccuracyError if the quadrature error estimate exceeds tol, and
     DomainError if tol is not a positive finite number.
     """
-    if not (tol > 0.0 and math.isfinite(tol)):
-        raise DomainError(f"tol must be positive and finite, got {tol}")
+    check_tolerance("tol", tol)
     if t >= contract.expiry:
         raise DomainError(f"quadrature pricer requires t < T, "
                           f"got t={t}, T={contract.expiry}")

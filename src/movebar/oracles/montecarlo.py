@@ -37,7 +37,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from ..contract import BarrierContract
-from ..errors import AccuracyError, DomainError
+from ..errors import AccuracyError, DomainError, check_integers
 from .pde import _time_grid
 
 _CHUNK = 8192
@@ -136,10 +136,7 @@ def mc_price(S: float, t: float, contract: BarrierContract,
     standard error of the per-path discounted values.  Raises AccuracyError
     if the price or std_error is not finite.
     """
-    for name, value in (("n_paths", n_paths), ("n_steps", n_steps),
-                        ("seed", seed)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise DomainError(f"{name} must be an integer, got {value!r}")
+    check_integers(n_paths=n_paths, n_steps=n_steps, seed=seed)
     if n_paths < 2 or n_steps < 1:
         raise DomainError(f"need n_paths >= 2 and n_steps >= 1, "
                           f"got {n_paths}, {n_steps}")

@@ -1,14 +1,16 @@
 """Lattice pricer: Crank-Nicolson on the barrier-fixed log coordinate.
 
 The knockout problem is solved in x = ln(S/h(t)), where the barrier sits
-still at x = 0 and the convection picks up the barrier's growth rate.  The
-coefficients are frozen per time step at the step midpoint, which is exact
-for piecewise-constant curves once the step grid is aligned to the curve
-breakpoints.  The first steps out of the (kinked) payoff are fully implicit
-so the scheme keeps clean second-order behaviour.  The price at the spot is
-read off the final grid by the cubic through the four nodes around it
-(4-point Lagrange, stencil clamped to the grid); its O(dx^4) error sits well
-below the scheme's O(dx^2).
+still at x = 0 and r and q cancel against its drift r - q + C sigma^2: the
+convection is -(C + 1/2) sigma^2, and the lattice reads only the r and sigma
+curves.  The coefficients are frozen per step at the step midpoint, which is
+exact for piecewise-constant curves on the breakpoint-aligned step grid; the
+integrals of r and sigma^2 that the call boundary needs are summed the same
+way, step by step.  The first steps out of the (kinked) payoff are fully
+implicit so the scheme keeps clean second-order behaviour.  The price at the
+spot is read off the final grid by the cubic through the four nodes around
+it (4-point Lagrange, stencil clamped to the grid); its O(dx^4) error sits
+well below the scheme's O(dx^2).
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from ..contract import BarrierContract
-from ..errors import AccuracyError, DomainError
+from ..errors import AccuracyError, DomainError, check_integers, check_tolerance
 
 # width of the truncated domain in units of total volatility
 _DOMAIN_SDS = 8.0
@@ -36,10 +38,7 @@ class PdeGrid:
     n_time: int
 
     def __post_init__(self):
-        for name in ("n_space", "n_time"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise DomainError(f"{name} must be an integer, got {value!r}")
+        check_integers(n_space=self.n_space, n_time=self.n_time)
         if self.n_space < 4 or self.n_time < 4:
             raise DomainError("need n_space >= 4 and n_time >= 4")
         if not (self.x_max > 0.0 and math.isfinite(self.x_max)):
@@ -55,6 +54,7 @@ class PdeGrid:
         representable; a kink that rounds to node 0 stays off the grid, as
         its snap would collapse the domain.
         """
+        check_integers(n_space=n_space, n_time=n_time)
         lev, x_spot, (_, _, sigma2bar) = contract.locate(S, t)
         if S < lev:
             raise DomainError(f"S={S} below barrier level {lev}")
@@ -94,8 +94,8 @@ def pde_price(S: float, t: float, contract: BarrierContract,
     AccuracyError; a tol that is not a positive finite number raises
     DomainError.
     """
-    if tol is not None and not (tol > 0.0 and math.isfinite(tol)):
-        raise DomainError(f"tol must be positive and finite, got {tol}")
+    if tol is not None:
+        check_tolerance("tol", tol)
     if contract.style != "down_and_out":
         raise DomainError("lattice oracle prices down_and_out styles; "
                           "knock-in follows from in + out = vanilla")
@@ -116,20 +116,18 @@ def pde_price(S: float, t: float, contract: BarrierContract,
 
 
 def _solve(S: float, t: float, contract: BarrierContract, grid: PdeGrid) -> float:
-    barrier = contract.barrier
     cs = contract.curves
-    T = contract.expiry
-    K = contract.strike
+    h_T, C, K = contract.barrier.h_T, contract.barrier.C, contract.strike
     lev_t, x_eval, _ = contract.locate(S, t)
     if S < lev_t:
         raise DomainError(f"S={S} below barrier level {lev_t}")
     if x_eval > grid.x_max:
         raise DomainError(f"x={x_eval:.4f} outside grid [0, {grid.x_max:.4f}]")
     try:  # the terminal spots and the call boundary reach h_T*exp(x_max)
-        exp_top = math.exp(grid.x_max)
+        top = h_T * math.exp(grid.x_max)
     except OverflowError:
-        exp_top = math.inf
-    if barrier.h_T * exp_top == math.inf:
+        top = math.inf
+    if top == math.inf:
         raise DomainError(f"h_T*exp(x_max) overflows at x_max={grid.x_max:.6g}, "
                           f"S={S}: spot too far above the barrier")
 
@@ -138,54 +136,62 @@ def _solve(S: float, t: float, contract: BarrierContract, grid: PdeGrid) -> floa
     x = np.linspace(0.0, grid.x_max, n + 1)
     is_call = contract.side == "call"
 
-    spots_T = barrier.h_T * np.exp(x)
+    spots_T = h_T * np.exp(x)
     v = np.maximum(spots_T - K, 0.0) if is_call else np.maximum(K - spots_T, 0.0)
     v[0] = 0.0
 
-    def boundary(time: float) -> float:
-        if not is_call:
-            return 0.0
-        level, (rbar, qbar, _) = barrier.level_and_bars(time)
-        return (math.exp(-qbar) * exp_top * level
-                - K * math.exp(-rbar))
-
-    times = _time_grid(t, T, grid.n_time, contract)
+    times = _time_grid(t, contract.expiry, grid.n_time, contract)
 
     def substeps():
         """(t_lo, t_hi, theta) triples, maturity first."""
-        smoothed = 0
-        for t_hi, t_lo in zip(reversed(times), reversed(times[:-1])):
-            if smoothed < _SMOOTHING_STEPS:
+        for k, (t_lo, t_hi) in enumerate(zip(times[-2::-1], times[:0:-1])):
+            if k < _SMOOTHING_STEPS:
                 mid = 0.5 * (t_lo + t_hi)
                 yield mid, t_hi, 1.0
                 yield t_lo, mid, 1.0
-                smoothed += 1
             else:
                 yield t_lo, t_hi, 0.5  # Crank-Nicolson
 
+    rbar = sigma2bar = 0.0  # the integrals over [t_lo, T]
+    edge = 0.0  # the value at x_max; a put's stays 0
     # the band matrix of the implicit part, refilled every step; v[0] stays 0
     ab = np.empty((3, n - 1))
-    for t_lo, t_hi, theta in substeps():
-        dt = t_hi - t_lo
-        mid = 0.5 * (t_lo + t_hi)
-        sig = cs.sigma.value_at(mid)
-        sig2 = sig * sig
-        r = cs.r.value_at(mid)
-        conv = r - cs.q.value_at(mid) - 0.5 * sig2 - barrier.growth_rate(mid)
-        alpha = 0.5 * sig2 / (dx * dx) - 0.5 * conv / dx
-        beta = -sig2 / (dx * dx) - r
-        gamma = 0.5 * sig2 / (dx * dx) + 0.5 * conv / dx
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for t_lo, t_hi, theta in substeps():
+                dt = t_hi - t_lo
+                mid = 0.5 * (t_lo + t_hi)
+                sig = cs.sigma.value_at(mid)
+                sig2 = sig * sig
+                r = cs.r.value_at(mid)
+                conv = -(C + 0.5) * sig2
+                alpha = 0.5 * sig2 / (dx * dx) - 0.5 * conv / dx
+                beta = -sig2 / (dx * dx) - r
+                gamma = 0.5 * sig2 / (dx * dx) + 0.5 * conv / dx
 
-        rhs = v[1:-1] + (1.0 - theta) * dt * (
-            alpha * v[:-2] + beta * v[1:-1] + gamma * v[2:])
-        bc_lo = boundary(t_lo)
-        rhs[-1] += theta * dt * gamma * bc_lo
+                rhs = v[1:-1] + (1.0 - theta) * dt * (
+                    alpha * v[:-2] + beta * v[1:-1] + gamma * v[2:])
+                if is_call:  # S_top e^{-qbar} - K e^{-rbar}, where
+                    # h(t) e^{-qbar} = h_T e^{-rbar - C sigma2bar}
+                    rbar += r * dt
+                    sigma2bar += sig2 * dt
+                    edge = math.exp(-rbar) * (top * math.exp(-C * sigma2bar) - K)
+                rhs[-1] += theta * dt * gamma * edge
 
-        ab[0] = -theta * dt * gamma
-        ab[1] = 1.0 - theta * dt * beta
-        ab[2] = -theta * dt * alpha
-        v[1:-1] = solve_banded((1, 1), ab, rhs)
-        v[-1] = bc_lo
+                ab[0] = -theta * dt * gamma
+                ab[1] = 1.0 - theta * dt * beta
+                ab[2] = -theta * dt * alpha
+                v[1:-1] = solve_banded((1, 1), ab, rhs, check_finite=False)
+                if not np.isfinite(v[1:-1]).all():  # the solve sets no flag
+                    raise FloatingPointError("overflow in the tridiagonal solve")
+                v[-1] = edge
+    except OverflowError as exc:  # math.exp of the call boundary
+        raise DomainError(f"call boundary at t={t_lo:.6g} is outside the float "
+                          f"range: rbar={rbar:.4g}, sigma2bar={sigma2bar:.4g} "
+                          f"to expiry") from exc
+    except FloatingPointError as exc:
+        raise AccuracyError(f"lattice values leave the float range at "
+                            f"t={t_lo:.6g}") from exc
 
     return _cubic_at(v, x_eval / dx)
 

@@ -255,6 +255,36 @@ def test_unknown_style_is_an_input_error(capsys, tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("field,value,named", [
+    ("strike", "abc", "contract field 'strike' must be numeric, got 'abc'"),
+    ("strike", None, "contract field 'strike' must be numeric, got None"),
+    ("expiry", "abc", "contract field 'expiry' must be numeric, got 'abc'"),
+    ("C", "x", "barrier field 'C' must be numeric, got 'x'"),
+    ("r", "abc", "curve values must be numeric, got 'abc'"),
+])
+def test_non_numeric_field_is_an_input_error(capsys, tmp_path, field, value,
+                                             named):
+    contract = {"strike": 100.0, "expiry": 1.0, "side": "call",
+                "style": "down_and_out", "barrier": {"h_T": 90.0, "C": 0.0}}
+    curves = json.loads(Path(FLAT).read_text())
+    if field == "C":
+        contract["barrier"]["C"] = value
+    elif field == "r":
+        curves["r"]["values"] = [value]
+    else:
+        contract[field] = value
+    con, cur = tmp_path / "con.json", tmp_path / "cur.json"
+    con.write_text(json.dumps(contract))
+    cur.write_text(json.dumps(curves))
+    command = (["curves", "show", "--curves", str(cur)] if field == "r" else
+               ["price", "--curves", str(cur), "--contract", str(con),
+                "--spot", "100", "--time", "0"])
+    rc, out, err = run(capsys, *command)
+    assert rc == 2
+    assert out == ""
+    assert named in err
+
+
 def test_missing_required_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["price", "--curves", FLAT, "--contract", KNOCKOUT_CALL])

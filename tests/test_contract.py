@@ -5,6 +5,7 @@ import pytest
 
 import movebar as mb
 from movebar import DomainError, LoadError
+from movebar.oracles.pde import _solve
 
 
 def test_terminal_level_is_exact(const_curves):
@@ -49,8 +50,6 @@ def test_level_outside_horizon_rejected(const_curves):
         bar.level(1.01)
     with pytest.raises(DomainError, match="nan"):
         bar.level(math.nan)
-    with pytest.raises(DomainError, match="nan"):
-        bar.growth_rate(math.nan)
 
 
 def test_locate_gives_level_and_log_distance(td_curves):
@@ -70,11 +69,9 @@ def test_locate_gives_level_and_log_distance(td_curves):
             con.locate(120.0, t)
 
 
-@pytest.mark.parametrize("price", [mb.down_and_out_call, mb.down_and_in_put,
-                                   mb.to_heat_coords])
-def test_valuation_point_integrates_each_curve_once(td_contract, monkeypatch,
-                                                    price):
-    # the pricers read (rbar, qbar, sigma2bar) from locate: one sum per curve
+@pytest.fixture
+def overlap_sums(monkeypatch):
+    """The arguments of every TermStructure._overlap_sum call the test makes."""
     calls = []
     overlap_sum = mb.TermStructure._overlap_sum
 
@@ -83,9 +80,28 @@ def test_valuation_point_integrates_each_curve_once(td_contract, monkeypatch,
         return overlap_sum(self, *args, **kwargs)
 
     monkeypatch.setattr(mb.TermStructure, "_overlap_sum", counted)
+    return calls
+
+
+@pytest.mark.parametrize("price", [mb.down_and_out_call, mb.down_and_in_put,
+                                   mb.to_heat_coords])
+def test_valuation_point_integrates_each_curve_once(td_contract, overlap_sums,
+                                                    price):
+    # the pricers read (rbar, qbar, sigma2bar) from locate: one sum per curve
     con = td_contract(0.7, side="put", style="down_and_in")
     price(120.0, 0.25, con)
-    assert len(calls) == 3
+    assert len(overlap_sums) == 3
+
+
+@pytest.mark.parametrize("side", ["call", "put"])
+@pytest.mark.parametrize("n", [120, 400])
+def test_lattice_integrates_the_curves_only_at_the_valuation_point(
+        td_contract, overlap_sums, side, n):
+    # the call boundary sums r and sigma^2 as the steps go back: the one
+    # locate is the only curve integration of a solve
+    _solve(120.0, 0.25, td_contract(0.7, side=side),
+           mb.PdeGrid(x_max=2.0, n_space=n, n_time=n))
+    assert len(overlap_sums) == 3
 
 
 @pytest.mark.parametrize("C", [-1e6, 1e6])
@@ -98,15 +114,24 @@ def test_level_outside_float_range_rejected(const_curves, C):
 
 
 def test_growth_rate_matches_log_slope(td_curves):
-    bar = mb.barrier_from_terminal(90.0, 0.7, td_curves, 1.0)
+    C = 0.7
+    bar = mb.barrier_from_terminal(90.0, C, td_curves, 1.0)
+
+    def growth_rate(t):
+        # h'(t)/h(t) = r - q + C sigma^2, right-continuous like the curves
+        sig = td_curves.sigma.value_at(t)
+        return td_curves.r.value_at(t) - td_curves.q.value_at(t) + C * sig * sig
+
     # within one curve piece the log level is exactly linear
     for t, dt in [(0.1, 0.2), (0.6, 0.3)]:
         slope = (math.log(bar.level(t + dt)) - math.log(bar.level(t))) / dt
-        assert slope == pytest.approx(bar.growth_rate(t), rel=1e-12)
-    # right-continuous at the switch
+        assert slope == pytest.approx(growth_rate(t), rel=1e-12)
+    # right-continuous at the switch: the slope of the piece starting there
     sig = td_curves.sigma.value_at(0.5)
-    assert bar.growth_rate(0.5) == pytest.approx(
+    assert growth_rate(0.5) == pytest.approx(
         0.06 - 0.02 + 0.7 * sig * sig, rel=1e-15)
+    slope = (math.log(bar.level(0.8)) - math.log(bar.level(0.5))) / 0.3
+    assert slope == pytest.approx(growth_rate(0.5), rel=1e-12)
 
 
 def test_c_from_levels_inverts_level(td_curves):

@@ -116,6 +116,24 @@ def test_lattice_grid_top_outside_float_range_raises_domain_error(h_T, S):
     assert "x_max=" in str(info.value)
 
 
+# r = +-3000 either side of mid-horizon: e^{-rbar} from t to T is 1 at t = 0
+# but e^{750} at t = 0.75, so the lattice's intermediate values cannot be held
+@pytest.mark.parametrize("grid,error,match", [
+    (mb.PdeGrid(x_max=3.0, n_space=60, n_time=40), DomainError,
+     "call boundary at t=0.75 is outside the float range"),
+    (None, mb.AccuracyError, "lattice values leave the float range at t=0.7"),
+], ids=["explicit-grid", "default-grid"])
+def test_lattice_overflow_raises_typed_error(grid, error, match):
+    curves = mb.CurveSet(mb.TermStructure((0.0, 0.5), (3000.0, -3000.0)),
+                         mb.TermStructure.constant(0.0),
+                         mb.TermStructure.constant(0.2))
+    con = mb.BarrierContract(strike=100.0, expiry=1.0, side="call",
+                             style="down_and_out",
+                             barrier=mb.barrier_from_terminal(90.0, 0.0, curves, 1.0))
+    with pytest.raises(error, match=match):
+        mb.pde_price(100.0, 0.0, con, grid=grid)
+
+
 @pytest.mark.parametrize("r,C", [(0.05, 1000.0), (50.0, -2.0)])
 @pytest.mark.parametrize("name", [
     "forward_barrier_value", "down_and_out_call", "down_and_in_call",

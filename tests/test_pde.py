@@ -19,7 +19,8 @@ def test_grid_validation():
 
 
 @pytest.mark.parametrize("counts", [{"n_space": 10.5}, {"n_time": 100.0},
-                                    {"n_space": True}])
+                                    {"n_space": True}, {"n_space": "400"},
+                                    {"n_space": None}])
 def test_grid_counts_must_be_integers(const_contract, counts):
     name, value = next(iter(counts.items()))
     with pytest.raises(DomainError, match=f"{name} must be an integer, got {value!r}"):
@@ -86,6 +87,20 @@ def test_matches_closed_form_put(const_curves):
     # the terminal data is discontinuous at the barrier corner, so the put
     # needs the finer lattice for the same relative accuracy
     assert abs(got - closed) / closed <= 5e-4
+
+
+@pytest.mark.parametrize("side", ["call", "put"])
+def test_matches_closed_form_when_only_q_switches(side):
+    # the lattice never reads q: the barrier's drift carries all of it
+    curves = mb.CurveSet(mb.TermStructure.constant(0.05),
+                         mb.TermStructure((0.0, 0.5), (0.0, 0.08)),
+                         mb.TermStructure.constant(0.2))
+    con = mb.BarrierContract(strike=100.0, expiry=1.0, side=side,
+                             style="down_and_out",
+                             barrier=mb.barrier_from_terminal(90.0, 0.5, curves, 1.0))
+    closed = mb.price_contract(100.0, 0.0, con).price
+    grid = PdeGrid.for_contract(100.0, 0.0, con, n_space=800, n_time=800)
+    assert abs(pde_price(100.0, 0.0, con, grid=grid) - closed) / closed <= 5e-4
 
 
 def test_mid_horizon_start(td_contract):
