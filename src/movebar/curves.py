@@ -90,10 +90,14 @@ class TermStructure:
     @classmethod
     def from_dict(cls, d: dict) -> "TermStructure":
         try:
-            return cls(*(tuple(_as_float(v, f"curve {key}") for v in d[key])
-                         for key in ("breakpoints", "values")))
+            columns = {key: d[key] for key in ("breakpoints", "values")}
         except (KeyError, TypeError) as exc:
             raise LoadError(f"bad curve entry: {exc}") from exc
+        for key, column in columns.items():
+            if not isinstance(column, (list, tuple)):
+                raise LoadError(f"curve {key} must be a list, got {column!r}")
+        return cls(*(tuple(_as_float(v, f"curve {key}") for v in column)
+                     for key, column in columns.items()))
 
 
 @dataclass(frozen=True)
@@ -148,11 +152,13 @@ class CurveSet:
 
 
 def _as_float(value, name: str) -> float:
-    """float(value), or a LoadError naming the field and the value."""
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise LoadError(f"{name} must be numeric, got {value!r}") from exc
+    """float of a JSON number (not a bool or a string), else a LoadError."""
+    if not isinstance(value, (bool, str)):
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise LoadError(f"{name} must be numeric, got {value!r}")
 
 
 def _read_json(path: str, build):

@@ -1,20 +1,21 @@
 """Simulation pricer with an exact between-step crossing correction.
 
-Log-spot increments use the exact per-step moments of the piecewise-constant
-curves (the step grid is refined to hit every breakpoint), and each step
-multiplies a survival weight by the probability that the bridge between the
-step's endpoints stayed above the barrier.  In the barrier-fixed coordinate
-the barrier is flat and the bridge crossing probability is the classical
-exp(-2 x0 x1 / variance), so the weighted estimator has no discretisation
-bias for this barrier class.  The exponent is clamped to [_E_MIN, 0]: below
-_E_MIN the factor 1 - exp(.) is exactly 1.0 already, and numpy's exp is many
-times slower on the large negative exponents of paths far from the barrier.
+Paths walk x = ln(S/h(t)), where the barrier sits still at x = 0 and r and q
+cancel against its drift: a step adds -(C + 1/2) sigma^2 dt plus sigma
+sqrt(dt) times a normal, with sigma read at the step midpoint (exact on the
+breakpoint-aligned step grid), and the payoff reads S_T = h_T exp(x_T).
+Each step multiplies a survival weight by 1 - exp(-2 x_a x_b / variance),
+the probability that the bridge between its endpoints x_a and x_b stayed
+above the barrier, so the estimator has no discretisation bias for this
+barrier class.  The exponent is clamped to [_E_MIN, 0]: below _E_MIN that
+factor is exactly 1.0 already, and numpy's exp is many times slower on the
+large negative exponents of paths far from the barrier.
 
 Randomness comes from counter-mode Philox keyed by the seed: path p consumes
 the counter blocks starting at p * ceil(n_steps/4), so chunks of paths are
 independent.  They run on a thread pool with one thread per available core
 (numpy, ndtri and Philox release the interpreter lock).  Each chunk writes
-its paths' terminal log-spots and survival weights into arrays shared by all
+its paths' terminal x and survival weights into arrays shared by all
 chunks, and the estimate is reduced from them once at the end.  Estimates are
 therefore bit-identical for a given (seed, n_paths, n_steps) whatever the
 thread count or chunk size.  Working memory is bounded by the chunk size:
@@ -93,37 +94,34 @@ def _pool_size() -> int:
         return os.cpu_count() or 1
 
 
-def _walk_chunk(seed, lo, x, w, x0, drift, sd, var, log_level, buf):
-    """Walk paths [lo, lo + len(x)) from log-spot x0.
+def _walk_chunk(seed, lo, x, w, x0, drift, sd, var, buf):
+    """Walk paths [lo, lo + len(x)) in x = ln(S/h(t)) from x0.
 
-    Leaves each path's terminal log-spot in ``x`` and its survival weight in
-    ``w``.  The paths' normals go into the head of ``buf``, a 1-D float
-    array of at least len(x) * len(var), viewed as (steps, paths).  Runs on
-    worker threads, so it calls only numpy and scipy.
+    Leaves each path's terminal x in ``x`` and its survival weight in ``w``.
+    The paths' normals go into the head of ``buf``, a 1-D float array of at
+    least len(x) * len(var), viewed as (steps, paths).  Runs on worker
+    threads, so it calls only numpy and scipy.
     """
     steps = len(var)
     z = _chunk_normals(seed, lo, buf[:steps * len(x)].reshape(steps, len(x)))
     x.fill(x0)
     w.fill(1.0)
-    rel0 = x - log_level[0]
-    rel1 = np.empty_like(x)
+    start = np.empty_like(x)  # -2 x at the step's start
     expo = np.empty_like(x)
     for i in range(steps):
         # same roundings as x_next = x + drift + sd*z and
-        # expo = -2*rel0*rel1/var written as single expressions
+        # expo = -2*x*x_next/var written as single expressions
+        np.multiply(-2.0, x, out=start)
         np.multiply(sd[i], z[i], out=expo)
         np.add(x, drift[i], out=x)
         np.add(x, expo, out=x)
-        np.subtract(x, log_level[i + 1], out=rel1)
         # exponent >= 0 iff an endpoint is at/below the barrier: p = 1
-        np.multiply(-2.0, rel0, out=expo)
-        np.multiply(expo, rel1, out=expo)
+        np.multiply(start, x, out=expo)
         np.divide(expo, var[i], out=expo)
         np.clip(expo, _E_MIN, 0.0, out=expo)
         np.exp(expo, out=expo)
         np.subtract(1.0, expo, out=expo)
         np.multiply(w, expo, out=w)
-        rel0, rel1 = rel1, rel0
 
 
 def mc_price(S: float, t: float, contract: BarrierContract,
@@ -144,27 +142,22 @@ def mc_price(S: float, t: float, contract: BarrierContract,
         raise DomainError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
     if t >= contract.expiry:
         raise DomainError(f"simulation requires t < T, got t={t}, T={contract.expiry}")
-    lev, _, (rbar, _, _) = contract.locate(S, t)
+    lev, x0, (rbar, _, _) = contract.locate(S, t)
     if S <= lev:
         raise DomainError(f"S={S} at or below barrier level {lev}")
 
-    cs = contract.curves
-    T = contract.expiry
-    times = _time_grid(t, T, n_steps, contract)
+    times = _time_grid(t, contract.expiry, n_steps, contract)
     steps = len(times) - 1
-    drift = np.empty(steps)
-    var = np.empty(steps)
-    for i, (a, b) in enumerate(zip(times[:-1], times[1:])):
-        r, q, var[i] = cs.bars(a, b)
-        drift[i] = r - q - 0.5 * var[i]
+    sig = np.array([contract.curves.sigma.value_at(0.5 * (a + b))
+                    for a, b in zip(times[:-1], times[1:])])
+    var = sig * sig * np.diff(times)
+    drift = -(contract.barrier.C + 0.5) * var
     sd = np.sqrt(var)
-    log_level = np.array([math.log(contract.barrier.level(u)) for u in times])
     disc = math.exp(-rbar)
     K = contract.strike
     is_call = contract.side == "call"
     knock_in = contract.style == "down_and_in"
 
-    x0 = math.log(S)
     x = np.empty(n_paths)
     w = np.empty(n_paths)
     los = range(0, n_paths, _CHUNK)
@@ -175,7 +168,7 @@ def mc_price(S: float, t: float, contract: BarrierContract,
         # worker k walks every workers-th chunk with its own normals buffer
         for lo in los[k::workers]:
             _walk_chunk(int(seed), lo, x[lo:lo + _CHUNK], w[lo:lo + _CHUNK],
-                        x0, drift, sd, var, log_level, normals[k])
+                        x0, drift, sd, var, normals[k])
 
     with ThreadPoolExecutor(workers) as pool:
         for future in [pool.submit(walk, k) for k in range(workers)]:
@@ -184,7 +177,7 @@ def mc_price(S: float, t: float, contract: BarrierContract,
     # a far spot can overflow the payoffs or their spread; that is reported
     # below as an AccuracyError, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        s_T = np.exp(x)
+        s_T = contract.barrier.h_T * np.exp(x)
         pay = np.maximum(s_T - K, 0.0) if is_call else np.maximum(K - s_T, 0.0)
         weight = (1.0 - w) if knock_in else w
         values = disc * pay * weight

@@ -261,6 +261,11 @@ def test_unknown_style_is_an_input_error(capsys, tmp_path):
     ("expiry", "abc", "contract field 'expiry' must be numeric, got 'abc'"),
     ("C", "x", "barrier field 'C' must be numeric, got 'x'"),
     ("r", "abc", "curve values must be numeric, got 'abc'"),
+    # JSON booleans, numeric strings and non-array curves are not numbers
+    ("strike", "100", "contract field 'strike' must be numeric, got '100'"),
+    ("C", True, "barrier field 'C' must be numeric, got True"),
+    ("breakpoints", "0", "curve breakpoints must be a list, got '0'"),
+    ("values", "0.05", "curve values must be a list, got '0.05'"),
 ])
 def test_non_numeric_field_is_an_input_error(capsys, tmp_path, field, value,
                                              named):
@@ -271,12 +276,15 @@ def test_non_numeric_field_is_an_input_error(capsys, tmp_path, field, value,
         contract["barrier"]["C"] = value
     elif field == "r":
         curves["r"]["values"] = [value]
+    elif field in ("breakpoints", "values"):
+        curves["r"][field] = value
     else:
         contract[field] = value
     con, cur = tmp_path / "con.json", tmp_path / "cur.json"
     con.write_text(json.dumps(contract))
     cur.write_text(json.dumps(curves))
-    command = (["curves", "show", "--curves", str(cur)] if field == "r" else
+    command = (["curves", "show", "--curves", str(cur)]
+               if field in ("r", "breakpoints", "values") else
                ["price", "--curves", str(cur), "--contract", str(con),
                 "--spot", "100", "--time", "0"])
     rc, out, err = run(capsys, *command)

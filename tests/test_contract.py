@@ -104,6 +104,15 @@ def test_lattice_integrates_the_curves_only_at_the_valuation_point(
     assert len(overlap_sums) == 3
 
 
+@pytest.mark.parametrize("n_steps", [1, 256])
+def test_simulation_integrates_the_curves_only_at_the_valuation_point(
+        td_contract, overlap_sums, n_steps):
+    # the paths walk x = ln(S/h(t)) and read only sigma per step: the one
+    # locate is the only curve integration of an estimate
+    mb.mc_price(120.0, 0.25, td_contract(0.7), n_paths=100, n_steps=n_steps)
+    assert len(overlap_sums) == 3
+
+
 @pytest.mark.parametrize("C", [-1e6, 1e6])
 def test_level_outside_float_range_rejected(const_curves, C):
     # sigma^2 * |C| = 4e4 puts exp(-drift) far beyond the float range

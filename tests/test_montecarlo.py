@@ -23,23 +23,22 @@ def test_path_substreams_align_across_chunks():
 
 
 # float.hex of (price, std_error, knockout_fraction) on the two-piece curves
-# with C = 0.  The first two were recorded before the chunks ran on a thread
-# pool; 3000 paths leave the last chunk partial.  The others were recorded
-# before the crossing exponent was clamped, on shapes whose exponents land
-# below -745 (exp underflows to 0), in the subnormal band [-745, -708] and
-# exactly at 0 (an endpoint at or below the barrier).  Spot None is one part
-# in 1e4 above h(0); 8193 paths leave a one-path chunk.
+# with C = 0, recorded with the paths walking x = ln(S/h(t)).  3000 paths
+# leave the last chunk partial and 8193 a one-path chunk.  The last three
+# shapes have crossing exponents below -745 (exp underflows to 0), in the
+# subnormal band [-745, -708] and exactly at 0 (an endpoint at or below the
+# barrier).  Spot None is one part in 1e4 above h(0).
 _PINNED = [
     ((100.0, "call", "down_and_out", 3000, 8, 3),
-     ("0x1.179ca62930093p+3", "0x1.26550c6625adap-2", "0x1.36a3e88e8e700p-1")),
+     ("0x1.179ca629300d6p+3", "0x1.26550c6625affp-2", "0x1.36a3e88e8e6dfp-1")),
     ((100.0, "call", "down_and_out", 40_000, 256, 11),
-     ("0x1.17ed58859bb3cp+3", "0x1.4b8defa62876dp-4", "0x1.37751f95f21bcp-1")),
+     ("0x1.17ed58859c3c2p+3", "0x1.4b8defa628cc5p-4", "0x1.37751f95f1decp-1")),
     ((None, "call", "down_and_out", 8193, 256, 5),
-     ("0x1.8c22b9827a3c6p-8", "0x1.d19d1be4b460dp-11", "0x1.ffd7168af1e42p-1")),
+     ("0x1.8c22b9827b280p-8", "0x1.d19d1be4b50abp-11", "0x1.ffd7168af1e41p-1")),
     ((250.0, "put", "down_and_in", 8193, 64, 17),
-     ("0x1.80eb2c0c9ce25p-10", "0x1.80eb2c0c9ce24p-10", "0x1.fff0007ffc002p-14")),
+     ("0x1.80eb2c0c9d10ep-10", "0x1.80eb2c0c9d10dp-10", "0x1.fff0007ffc002p-14")),
     ((None, "put", "down_and_in", 3000, 8, 3),
-     ("0x1.be86d8da5ef68p+3", "0x1.f409effdd52a8p-3", "0x1.ffd88327934e8p-1")),
+     ("0x1.be86d8da5ef2bp+3", "0x1.f409effdd5295p-3", "0x1.ffd88327934e8p-1")),
 ]
 
 
@@ -98,6 +97,23 @@ def test_agreement_put(const_curves):
                              style="down_and_out", barrier=bar)
     closed = mb.down_and_out_put(100.0, 0.0, con).price
     est = mc_price(100.0, 0.0, con, n_paths=100_000, n_steps=64, seed=7)
+    assert abs(est.price - closed) <= 4.0 * est.std_error
+
+
+@pytest.mark.parametrize("style", ["down_and_out", "down_and_in"])
+@pytest.mark.parametrize("side", ["call", "put"])
+@pytest.mark.parametrize("curves", ["const_curves", "td_curves"])
+@pytest.mark.parametrize("n_steps", [1, 7])
+def test_agreement_at_low_step_counts(request, curves, side, style, n_steps):
+    # the bridge weight makes the estimate exact in law at any step count,
+    # so a wrong drift of x = ln(S/h(t)) would show at once at one step
+    bar = mb.barrier_from_terminal(90.0, 0.7, request.getfixturevalue(curves),
+                                   1.0)
+    con = mb.BarrierContract(strike=100.0, expiry=1.0, side=side, style=style,
+                             barrier=bar)
+    closed = mb.price_contract(100.0, 0.0, con).price
+    est = mc_price(100.0, 0.0, con, n_paths=100_000, n_steps=n_steps,
+                   seed=2718)
     assert abs(est.price - closed) <= 4.0 * est.std_error
 
 
