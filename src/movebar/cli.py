@@ -232,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 "quadrature, lattice and simulation pricers")
     _add_common(p_val)
     p_val.add_argument("--mc-paths", type=int, default=100_000,
-                       help="simulation paths (default 100000)")
+                       help="simulation paths, even (default 100000)")
     p_val.add_argument("--mc-steps", type=int, default=64,
                        help="simulation steps (default 64)")
     p_val.add_argument("--seed", type=int, default=0,

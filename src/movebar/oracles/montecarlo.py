@@ -11,21 +11,21 @@ barrier class.  The exponent is clamped to [_E_MIN, 0]: below _E_MIN that
 factor is exactly 1.0 already, and numpy's exp is many times slower on the
 large negative exponents of paths far from the barrier.
 
-Randomness comes from counter-mode Philox keyed by the seed: path p consumes
-the counter blocks starting at p * ceil(n_steps/4), so chunks of paths are
-independent.  They run on a thread pool with one thread per available core
-(numpy, ndtri and Philox release the interpreter lock).  Each chunk writes
-its paths' terminal x and survival weights into arrays shared by all
-chunks, and the estimate is reduced from them once at the end.  Estimates are
-therefore bit-identical for a given (seed, n_paths, n_steps) whatever the
-thread count or chunk size.  Working memory is bounded by the chunk size:
-each worker holds the normals of one chunk, 8 bytes per path-step, plus one
-tile of raw words (about 17 MB for 8192 paths x 256 steps), and the
-reduction a few floats per path.  The workers' normals buffers are one block
-allocated by the calling thread and reused for every chunk: buffers
-allocated and freed on the worker threads stay cached in the allocator's
-per-thread arenas, and the peak memory then depends on which thread ran
-which chunk.
+Paths come in antithetic pairs, one walking the normals +z and the other -z,
+so a pair costs one set of normals.  Randomness comes from counter-mode
+Philox keyed by the seed: pair k consumes the counter blocks starting at
+k * ceil(n_steps/4), so chunks of pairs are independent.  The chunks run on
+a thread pool with one thread per available core (numpy, ndtri and Philox
+release the interpreter lock) and write their paths' terminal x and
+survival weights into arrays shared by all chunks.  The estimate is reduced
+from them once at the end, its standard error from the pair means, so it is
+bit-identical for a given (seed, n_paths, n_steps) whatever the thread count
+or chunk size.  Each worker holds the normals of one chunk, 8 bytes per
+pair-step, plus one tile of raw words (about 9 MB for 4096 pairs x 256
+steps), in one block allocated by the calling thread and reused for every
+chunk: buffers allocated and freed on the worker threads stay cached in the
+allocator's per-thread arenas, and the peak memory then depends on which
+thread ran which chunk.
 """
 from __future__ import annotations
 
@@ -41,8 +41,8 @@ from ..contract import BarrierContract
 from ..errors import AccuracyError, DomainError, check_integers
 from .pde import _time_grid
 
-_CHUNK = 8192
-# paths per draw of raw Philox words; 256 x 256 steps is 512 KB
+_CHUNK = 4096  # pairs, so 8192 paths
+# pairs per draw of raw Philox words; 256 x 256 steps is 512 KB
 _TILE = 256
 _U64_SCALE = 2.0 ** -53
 # floor of the crossing exponent: exp(e) < 2**-54 for e <= -37.5, so
@@ -61,23 +61,22 @@ class McEstimate:
     knockout_fraction: float
 
 
-def _chunk_normals(seed: int, path_lo: int, z: np.ndarray) -> np.ndarray:
-    """Fill z, a C-contiguous (steps, paths) array, with the standard normals
-    of paths [path_lo, path_lo + paths) and return it.
+def _chunk_normals(seed: int, pair_lo: int, z: np.ndarray) -> np.ndarray:
+    """Fill z, a C-contiguous (steps, pairs) array, with the standard normals
+    of pairs [pair_lo, pair_lo + pairs) and return it.
 
-    Each path owns ceil(steps/4) whole 4x64-bit counter blocks; uniforms
+    Each pair owns ceil(steps/4) whole 4x64-bit counter blocks; uniforms
     take the top 53 bits, centred, and go through the inverse normal CDF.
-    The raw words are drawn and transposed one tile of _TILE paths at a
+    The raw words are drawn and transposed one tile of _TILE pairs at a
     time, so the transpose stays in cache.  Row i holds step i of every
-    path, so a walk over steps reads contiguous rows.
+    pair, so a walk over steps reads contiguous rows.
     """
-    n_steps, n_paths = z.shape
+    n_steps, n_pairs = z.shape
     words = (n_steps + 3) // 4 * 4
     bg = np.random.Philox(key=seed)
-    if path_lo:
-        bg.advance(path_lo * words // 4)
-    for p0 in range(0, n_paths, _TILE):
-        p1 = min(p0 + _TILE, n_paths)
+    bg.advance(pair_lo * words // 4)
+    for p0 in range(0, n_pairs, _TILE):
+        p1 = min(p0 + _TILE, n_pairs)
         raw = bg.random_raw((p1 - p0) * words).reshape(p1 - p0, words)
         raw >>= np.uint64(11)
         np.add(raw[:, :n_steps].T, 0.5, out=z[:, p0:p1])
@@ -94,25 +93,24 @@ def _pool_size() -> int:
         return os.cpu_count() or 1
 
 
-def _walk_chunk(seed, lo, x, w, x0, drift, sd, var, buf):
-    """Walk paths [lo, lo + len(x)) in x = ln(S/h(t)) from x0.
+def _walk_chunk(seed, lo, x, w, drift, sd, var, buf):
+    """Walk the antithetic pairs [lo, lo + m) in x = ln(S/h(t)).
 
-    Leaves each path's terminal x in ``x`` and its survival weight in ``w``.
-    The paths' normals go into the head of ``buf``, a 1-D float array of at
-    least len(x) * len(var), viewed as (steps, paths).  Runs on worker
-    threads, so it calls only numpy and scipy.
-    """
-    steps = len(var)
-    z = _chunk_normals(seed, lo, buf[:steps * len(x)].reshape(steps, len(x)))
-    x.fill(x0)
-    w.fill(1.0)
-    start = np.empty_like(x)  # -2 x at the step's start
-    expo = np.empty_like(x)
+    ``x`` and ``w`` are (2, m) blocks of start x and survival weight 1, the
+    paths walking +z in row 0 and -z in row 1, and are left at their terminal
+    values.  The normals go into the head of ``buf``, a 1-D float array of at
+    least m * len(var), viewed as (steps, pairs).  Runs on worker threads, so
+    it calls only numpy and scipy."""
+    steps, m = len(var), x.shape[1]
+    z = _chunk_normals(seed, lo, buf[:steps * m].reshape(steps, m))
+    start = np.empty(x.shape)  # -2 x at the step's start
+    expo = np.empty(x.shape)
     for i in range(steps):
-        # same roundings as x_next = x + drift + sd*z and
+        # same roundings as x_next = x + drift + sd*(+-z) and
         # expo = -2*x*x_next/var written as single expressions
         np.multiply(-2.0, x, out=start)
-        np.multiply(sd[i], z[i], out=expo)
+        np.multiply(sd[i], z[i], out=expo[0])
+        np.negative(expo[0], out=expo[1])
         np.add(x, drift[i], out=x)
         np.add(x, expo, out=x)
         # exponent >= 0 iff an endpoint is at/below the barrier: p = 1
@@ -130,14 +128,15 @@ def mc_price(S: float, t: float, contract: BarrierContract,
     """Survival-weighted Monte Carlo price of the contract.
 
     Knockout styles weight the payoff by the path's survival probability;
-    knock-in styles by its complement.  std_error is the usual sample
-    standard error of the per-path discounted values.  Raises AccuracyError
-    if the price or std_error is not finite.
+    knock-in styles by its complement.  Paths walk in antithetic pairs: n_paths
+    must be even and at least 4, and std_error is that of the pair means.
+    Raises AccuracyError if the price or std_error is not finite.
     """
     check_integers(n_paths=n_paths, n_steps=n_steps, seed=seed)
-    if n_paths < 2 or n_steps < 1:
-        raise DomainError(f"need n_paths >= 2 and n_steps >= 1, "
-                          f"got {n_paths}, {n_steps}")
+    if n_paths < 4 or n_paths % 2:
+        raise DomainError(f"n_paths must be even and at least 4, got {n_paths}")
+    if n_steps < 1:
+        raise DomainError(f"need n_steps >= 1, got {n_steps}")
     if not 0 <= int(seed) < 2 ** 64:
         raise DomainError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
     if t >= contract.expiry:
@@ -154,21 +153,19 @@ def mc_price(S: float, t: float, contract: BarrierContract,
     drift = -(contract.barrier.C + 0.5) * var
     sd = np.sqrt(var)
     disc = math.exp(-rbar)
-    K = contract.strike
-    is_call = contract.side == "call"
-    knock_in = contract.style == "down_and_in"
 
-    x = np.empty(n_paths)
-    w = np.empty(n_paths)
-    los = range(0, n_paths, _CHUNK)
+    pairs = n_paths // 2
+    x = np.full((2, pairs), x0)  # column k is pair k: row 0 walks +z, row 1 -z
+    w = np.ones((2, pairs))
+    los = range(0, pairs, _CHUNK)
     workers = min(_pool_size(), len(los))
-    normals = np.empty((workers, min(_CHUNK, n_paths) * steps))
+    normals = np.empty((workers, min(_CHUNK, pairs) * steps))
 
     def walk(k):
         # worker k walks every workers-th chunk with its own normals buffer
         for lo in los[k::workers]:
-            _walk_chunk(int(seed), lo, x[lo:lo + _CHUNK], w[lo:lo + _CHUNK],
-                        x0, drift, sd, var, normals[k])
+            _walk_chunk(int(seed), lo, x[:, lo:lo + _CHUNK],
+                        w[:, lo:lo + _CHUNK], drift, sd, var, normals[k])
 
     with ThreadPoolExecutor(workers) as pool:
         for future in [pool.submit(walk, k) for k in range(workers)]:
@@ -177,12 +174,12 @@ def mc_price(S: float, t: float, contract: BarrierContract,
     # a far spot can overflow the payoffs or their spread; that is reported
     # below as an AccuracyError, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        s_T = contract.barrier.h_T * np.exp(x)
-        pay = np.maximum(s_T - K, 0.0) if is_call else np.maximum(K - s_T, 0.0)
-        weight = (1.0 - w) if knock_in else w
-        values = disc * pay * weight
-        price = float(np.mean(values))
-        std_error = float(np.std(values, ddof=1) / math.sqrt(n_paths))
+        s_T, K = contract.barrier.h_T * np.exp(x), contract.strike
+        pay = np.maximum(s_T - K if contract.side == "call" else K - s_T, 0.0)
+        weight = (1.0 - w) if contract.style == "down_and_in" else w
+        pair_means = 0.5 * (disc * pay * weight).sum(axis=0)
+        price = float(np.mean(pair_means))
+        std_error = float(np.std(pair_means, ddof=1) / math.sqrt(pairs))
     for name, value in (("price", price), ("std_error", std_error)):
         if not math.isfinite(value):
             raise AccuracyError(f"simulation {name} is {value}: the payoffs "

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from ..contract import BarrierContract
 from ..errors import AccuracyError, DomainError, check_integers, check_tolerance
@@ -154,8 +154,8 @@ def _solve(S: float, t: float, contract: BarrierContract, grid: PdeGrid) -> floa
 
     rbar = sigma2bar = 0.0  # the integrals over [t_lo, T]
     edge = 0.0  # the value at x_max; a put's stays 0
-    # the band matrix of the implicit part, refilled every step; v[0] stays 0
-    ab = np.empty((3, n - 1))
+    # LU factors of the implicit part, one per distinct system; v[0] stays 0
+    factors = {}
     try:
         with np.errstate(over="raise", invalid="raise"):
             for t_lo, t_hi, theta in substeps():
@@ -178,11 +178,14 @@ def _solve(S: float, t: float, contract: BarrierContract, grid: PdeGrid) -> floa
                     edge = math.exp(-rbar) * (top * math.exp(-C * sigma2bar) - K)
                 rhs[-1] += theta * dt * gamma * edge
 
-                ab[0] = -theta * dt * gamma
-                ab[1] = 1.0 - theta * dt * beta
-                ab[2] = -theta * dt * alpha
-                v[1:-1] = solve_banded((1, 1), ab, rhs, check_finite=False)
-                if not np.isfinite(v[1:-1]).all():  # the solve sets no flag
+                lu = factors.get((sig, r, dt, theta))
+                if lu is None:  # dgttrf's dl, d, du, du2, ipiv
+                    lu = factors[sig, r, dt, theta] = dgttrf(
+                        np.full(n - 2, -theta * dt * alpha),
+                        np.full(n - 1, 1.0 - theta * dt * beta),
+                        np.full(n - 2, -theta * dt * gamma))[:5]
+                v[1:-1] = dgttrs(*lu, rhs, overwrite_b=True)[0]
+                if not np.isfinite(v[1:-1]).all():  # no flag, even on a zero pivot
                     raise FloatingPointError("overflow in the tridiagonal solve")
                 v[-1] = edge
     except OverflowError as exc:  # math.exp of the call boundary

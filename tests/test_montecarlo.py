@@ -16,29 +16,29 @@ def test_bit_identical_for_same_seed(const_contract):
 
 
 def test_path_substreams_align_across_chunks():
-    # path p's normals depend only on (seed, p, n_steps), not on the batch
+    # pair p's normals depend only on (seed, p, n_steps), not on the batch
     joint = _chunk_normals(9, 0, np.empty((10, 7))).T
     tail = _chunk_normals(9, 3, np.empty((10, 4))).T
     assert np.array_equal(joint[3:], tail)
 
 
 # float.hex of (price, std_error, knockout_fraction) on the two-piece curves
-# with C = 0, recorded with the paths walking x = ln(S/h(t)).  3000 paths
-# leave the last chunk partial and 8193 a one-path chunk.  The last three
+# with C = 0, recorded with antithetic pairs walking x = ln(S/h(t)).  3000
+# paths leave the last chunk partial and 8194 a one-pair chunk.  The last three
 # shapes have crossing exponents below -745 (exp underflows to 0), in the
 # subnormal band [-745, -708] and exactly at 0 (an endpoint at or below the
 # barrier).  Spot None is one part in 1e4 above h(0).
 _PINNED = [
     ((100.0, "call", "down_and_out", 3000, 8, 3),
-     ("0x1.179ca629300d6p+3", "0x1.26550c6625affp-2", "0x1.36a3e88e8e6dfp-1")),
+     ("0x1.0e066015f521ep+3", "0x1.e954e05eb229ep-3", "0x1.355285a837b86p-1")),
     ((100.0, "call", "down_and_out", 40_000, 256, 11),
-     ("0x1.17ed58859c3c2p+3", "0x1.4b8defa628cc5p-4", "0x1.37751f95f1decp-1")),
-    ((None, "call", "down_and_out", 8193, 256, 5),
-     ("0x1.8c22b9827b280p-8", "0x1.d19d1be4b50abp-11", "0x1.ffd7168af1e41p-1")),
-    ((250.0, "put", "down_and_in", 8193, 64, 17),
-     ("0x1.80eb2c0c9d10ep-10", "0x1.80eb2c0c9d10dp-10", "0x1.fff0007ffc002p-14")),
+     ("0x1.1c7ca6cec67b7p+3", "0x1.1ba722f2a3dd8p-4", "0x1.35deaa3fcc7dcp-1")),
+    ((None, "call", "down_and_out", 8194, 256, 5),
+     ("0x1.cd8f2d814cd2fp-8", "0x1.06dd976563a74p-10", "0x1.ffd65bb828794p-1")),
+    ((250.0, "put", "down_and_in", 8194, 64, 17),
+     ("0x1.80df2573a63b7p-10", "0x1.80df2573a63b7p-10", "0x1.ffe001ffe0020p-14")),
     ((None, "put", "down_and_in", 3000, 8, 3),
-     ("0x1.be86d8da5ef2bp+3", "0x1.f409effdd5295p-3", "0x1.ffd88327934e8p-1")),
+     ("0x1.c2c03a0575fa2p+3", "0x1.61f820508e496p-4", "0x1.ffd9d2a1890d8p-1")),
 ]
 
 
@@ -129,6 +129,25 @@ def test_remote_barrier_recovers_vanilla(const_curves):
     assert abs(est.price - vanilla) <= 4.0 * est.std_error
 
 
+def test_pair_mean_standard_error_is_honest(const_curves):
+    # a remote barrier and a deep in-the-money call: the payoff is nearly
+    # linear in S_T, so the two paths of a pair are strongly anti-correlated.
+    # The spread of the estimates over seeds must match the reported SE; a
+    # per-path SE would be about the plain one, several times the spread.
+    bar = mb.barrier_from_terminal(1.0, 0.0, const_curves, 1.0)
+    con = mb.BarrierContract(strike=50.0, expiry=1.0, side="call",
+                             style="down_and_out", barrier=bar)
+    n_paths = 1000
+    est = [mc_price(100.0, 0.0, con, n_paths=n_paths, n_steps=4, seed=s)
+           for s in range(1, 41)]
+    spread = np.std([e.price for e in est], ddof=1)
+    reported = np.mean([e.std_error for e in est])
+    assert 0.7 <= spread / reported <= 1.4
+    # plain sampling: the discounted S_T has sd S e^{-qT} sqrt(e^{sigma^2 T} - 1)
+    plain = 100.0 * math.sqrt(math.expm1(0.2 ** 2)) / math.sqrt(n_paths)
+    assert reported < plain / 3.0
+
+
 def test_mid_horizon_start(td_contract):
     con = td_contract(1.0)
     closed = mb.down_and_out_call(95.0, 0.25, con).price
@@ -137,8 +156,10 @@ def test_mid_horizon_start(td_contract):
 
 
 def test_input_validation(const_contract):
-    with pytest.raises(DomainError):
-        mc_price(100.0, 0.0, const_contract, n_paths=1)
+    for n_paths in (1, 2, 3, 5):
+        with pytest.raises(DomainError, match=f"n_paths must be even and at "
+                                              f"least 4, got {n_paths}$"):
+            mc_price(100.0, 0.0, const_contract, n_paths=n_paths)
     with pytest.raises(DomainError):
         mc_price(100.0, 0.0, const_contract, n_steps=0)
     with pytest.raises(DomainError):
@@ -160,17 +181,19 @@ def test_input_validation(const_contract):
 def test_chunking_does_not_change_the_estimate(const_contract, monkeypatch):
     import movebar.oracles.montecarlo as mc_mod
     base = mc_price(100.0, 0.0, const_contract, n_paths=3000, n_steps=8, seed=3)
-    monkeypatch.setattr(mc_mod, "_CHUNK", 700)
-    rechunked = mc_price(100.0, 0.0, const_contract, n_paths=3000, n_steps=8,
-                         seed=3)
-    assert base == rechunked
+    # _CHUNK counts pairs; 333 paths would split a pair
+    for chunk in (700, 333):
+        monkeypatch.setattr(mc_mod, "_CHUNK", chunk)
+        rechunked = mc_price(100.0, 0.0, const_contract, n_paths=3000,
+                             n_steps=8, seed=3)
+        assert base == rechunked
 
 
 def test_thread_count_does_not_change_the_estimate(const_contract, monkeypatch):
     import movebar.oracles.montecarlo as mc_mod
     base = mc_price(100.0, 0.0, const_contract, n_paths=3000, n_steps=8, seed=3)
     estimates = []
-    chunks = (mc_mod._CHUNK, 700)
+    chunks = (mc_mod._CHUNK, 700, 333)
     for workers in (1, 3):
         monkeypatch.setattr(mc_mod, "_pool_size", lambda: workers)
         for chunk in chunks:
