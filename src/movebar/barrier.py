@@ -25,7 +25,7 @@ from typing import Optional
 from .contract import BarrierContract, barrier_from_terminal
 from .curves import CurveSet
 from .errors import DomainError, RegimeError
-from .vanilla import norm_cdf, quote_from_bars
+from .vanilla import norm_cdf, quote_from_bars, vanilla_call, vanilla_put
 
 
 @dataclass(frozen=True)
@@ -75,14 +75,13 @@ def _power_factor(x: float, C: float) -> float:
 
 def _expired(S: float, contract: BarrierContract, kind: str,
              knock_in: bool) -> PriceBreakdown:
-    K = contract.strike
+    K, T = contract.strike, contract.expiry
     alive = S > contract.barrier.h_T
     if kind == "forward":
         intrinsic = S - K
-    elif kind == "put":
-        intrinsic = max(K - S, 0.0)
     else:
-        intrinsic = max(S - K, 0.0)
+        settle = vanilla_call if kind == "call" else vanilla_put
+        intrinsic = settle(S, T, K, T, contract.curves).price
     if knock_in:
         price = img = 0.0 if alive else intrinsic
     else:
@@ -231,17 +230,10 @@ def down_and_in_put(S: float, t: float, contract: BarrierContract) -> PriceBreak
     return _closed_form(S, t, contract, "put", knock_in=True)
 
 
-_PRICERS = {
-    ("call", "down_and_out"): down_and_out_call,
-    ("call", "down_and_in"): down_and_in_call,
-    ("put", "down_and_out"): down_and_out_put,
-    ("put", "down_and_in"): down_and_in_put,
-}
-
-
 def price_contract(S: float, t: float, contract: BarrierContract) -> PriceBreakdown:
-    """Dispatch on the contract's side and style."""
-    return _PRICERS[(contract.side, contract.style)](S, t, contract)
+    """Price the contract's own side and style."""
+    return _closed_form(S, t, contract, contract.side,
+                        knock_in=contract.style == "down_and_in")
 
 
 def constant_case_parity_gap(S: float, t: float, S_B: float, a_rate: float,

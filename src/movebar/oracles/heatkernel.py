@@ -6,6 +6,12 @@ integral of the payoff against the difference of a direct and a reflected
 Gaussian kernel.  Integrating that numerically gives a pricer whose only
 shared ingredient with the closed forms is the curve integrals.
 
+The gauge folded into the direct kernel leaves one discounted Gaussian
+exp(-rbar - (xi - x + a_T tau)^2 / 2 tau), in the float range at every
+admissible C; the reflected kernel is it times exp(-2 x xi / tau), so a
+knockout multiplies it by -expm1(-2 x xi / tau).  The integration variable
+is z = (xi - x + a_T tau) / sqrt(tau), where the Gaussian is exact.
+
 The integral is taken by a vectorised adaptive Gauss-Legendre rule (the
 bisection strategy of QUADPACK's QAG, Piessens et al. 1983): each panel
 carries its one-panel sum and the sums over its two halves, the difference
@@ -26,6 +32,8 @@ from ..errors import AccuracyError, DomainError, check_tolerance
 
 # kernel mass beyond peak + _TAIL_SDS standard deviations is below 1e-300
 _TAIL_SDS = 42.0
+# beyond _BULK_SDS it is below _EPS_REL: no tail panel hides an error there
+_BULK_SDS = 8.0
 # Gauss-Legendre nodes and weights on [-1, 1], the Gauss half of QUADPACK's
 # 21-point Gauss-Kronrod pair
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(10)
@@ -37,47 +45,56 @@ _EPS_REL = 1e-13
 
 @dataclass(frozen=True)
 class HeatCoords:
-    """Transformed coordinates: position x, diffusion time tau, gauge a, b."""
+    """Position x, diffusion time tau, gauge a_T and b_t, and the discount
+    rbar (recovered as b_t + a_T^2 tau / 2 it loses 1e-9 at C = 5,000)."""
 
     x: float
     tau: float
     a_T: float
     b_t: float
+    rbar: float
 
 
 def to_heat_coords(S: float, t: float, contract: BarrierContract) -> HeatCoords:
     """Map (S, t) to the heat-equation frame of the contract's barrier.
 
-    x = ln(S/h(t)) >= 0, tau = integrated variance to expiry, and the gauge
-    exponents a_T = C + 1/2 and b_t = -(rbar + a_T^2 tau / 2) that restore
-    the price as V = e^{a_T x + b_t} U(x, tau).
+    x = ln(S/h(t)) >= 0, tau and rbar the integrated variance and rate to
+    expiry, and the gauge a_T = C + 1/2, b_t = -(rbar + a_T^2 tau / 2) that
+    restores the price as V = e^{a_T x + b_t} U(x, tau).
     """
     lev, x, (rbar, _, tau) = contract.locate(S, t)
     if S < lev:
         raise DomainError(f"S={S} below barrier level {lev}")
     a_T = contract.barrier.C + 0.5
     b_t = -(rbar + 0.5 * a_T * a_T * tau)
-    return HeatCoords(x=x, tau=tau, a_T=a_T, b_t=b_t)
+    return HeatCoords(x=x, tau=tau, a_T=a_T, b_t=b_t, rbar=rbar)
 
 
 def _payoff_bounds(side: str, kink: float, x: float, tau: float, a_T: float,
                    knockout: bool):
-    """Integration window and interior split points for one payoff."""
+    """Integration window and interior split points for one payoff.
+
+    The payoff's support (xi >= 0 for knockouts) within _TAIL_SDS of the
+    centres x - a_T*tau (strike term) and x + (1 - a_T)*tau (e^xi term),
+    split at both, _BULK_SDS outside them and, for knockouts, at
+    tau/(2x) * 4^k, where the survival factor rises (at large C in a layer
+    far narrower than one standard deviation).
+    """
     sd = math.sqrt(tau)
+    low, high = x - a_T * tau, x + (1.0 - a_T) * tau
+    lo, hi = low - _TAIL_SDS * sd, high + _TAIL_SDS * sd
     if side == "call":
-        lo = max(0.0, kink) if knockout else kink
-        hi = max(x + (1.0 - a_T) * tau, lo, x) + _TAIL_SDS * sd
+        lo = max(lo, kink)
     else:
-        if knockout and kink <= 0.0:
-            return None  # payoff support entirely below the barrier
-        hi = kink
-        # below both kernel centres, x and x - a_T*tau, as hi is for calls
-        lo = min(x, x - a_T * tau) - _TAIL_SDS * sd
-        lo = max(0.0, lo) if knockout else lo
-        if lo >= hi:
-            return None
-    pts = [p for p in (x,) if lo < p < hi]
-    return lo, hi, pts
+        hi = min(hi, kink)
+    pts = [low - _BULK_SDS * sd, low, high, high + _BULK_SDS * sd]
+    if knockout:
+        lo = max(lo, 0.0)
+        if x > 0.0:
+            pts += [tau / (2.0 * x) * 4.0 ** k for k in range(8)]
+    if not lo < hi:
+        return None
+    return lo, hi, sorted({p for p in pts if lo < p < hi})
 
 
 def heat_kernel_price(S: float, t: float, contract: BarrierContract,
@@ -105,45 +122,35 @@ def heat_kernel_price(S: float, t: float, contract: BarrierContract,
 
 def _integral(coords: HeatCoords, contract: BarrierContract, tol: float,
               knockout: bool) -> float:
-    """The payoff against the direct kernel, minus the reflected kernel
-    when knockout, on the knockout (half-line) or the whole-line window."""
-    x, tau, a_T, b_t = coords.x, coords.tau, coords.a_T, coords.b_t
+    """The payoff against the discounted Gaussian, times the survival
+    factor when knockout, on the knockout (half-line) or whole-line window."""
+    x, tau, a_T, rbar = coords.x, coords.tau, coords.a_T, coords.rbar
     K, h_T = contract.strike, contract.barrier.h_T
     kink = math.log(K) - math.log(h_T)
     bounds = _payoff_bounds(contract.side, kink, x, tau, a_T, knockout)
     if bounds is None:
         return 0.0
-    gauge = a_T * x + b_t
-    try:
-        prefactor = math.exp(gauge)
-    except OverflowError:
-        prefactor = math.inf
-    # a prefactor of 0 would divide the tolerance by zero and make a deep
-    # in-the-money call worth 0
-    if not 0.0 < prefactor < math.inf:
-        raise AccuracyError(f"gauge exponent a_T*x + b_t = {gauge:.6g} puts "
-                            f"the prefactor exp(.) outside the float range")
     lo, hi, pts = bounds
-    norm = 1.0 / math.sqrt(2.0 * math.pi * tau)
-    two_tau = 2.0 * tau
+    centre, sd = x - a_T * tau, math.sqrt(tau)
+    norm = 1.0 / math.sqrt(2.0 * math.pi)
     sign = 1.0 if contract.side == "call" else -1.0
 
-    def integrand(xi: np.ndarray) -> np.ndarray:
-        k = np.exp(-((x - xi) ** 2) / two_tau)
+    def integrand(z: np.ndarray) -> np.ndarray:
+        xi = centre + sd * z  # dxi = sd dz cancels sqrt(tau) in the norm
+        k = np.exp(-rbar - 0.5 * z * z)
         if knockout:
-            k -= np.exp(-((x + xi) ** 2) / two_tau)
-        pay = sign * (np.exp(xi) * h_T - K)
-        return norm * k * np.exp(-a_T * xi) * pay
+            k *= -np.expm1(-2.0 * x * xi / tau)
+        return norm * k * (sign * (np.exp(xi) * h_T - K))
 
     with np.errstate(over="ignore", invalid="ignore"):
-        value, abserr = _adaptive_gauss(integrand, [lo, *pts, hi],
-                                        epsabs=tol / prefactor)
+        value, abserr = _adaptive_gauss(
+            integrand, [(p - centre) / sd for p in (lo, *pts, hi)], epsabs=tol)
     if not (math.isfinite(value) and math.isfinite(abserr)):
         raise AccuracyError(f"quadrature overflowed on [{lo:.4g}, {hi:.4g}]")
-    if abserr * prefactor > tol:
+    if abserr > tol:
         raise AccuracyError(
-            f"quadrature achieved {abserr * prefactor:.3e}, requested {tol:.3e}")
-    return prefactor * value
+            f"quadrature achieved {abserr:.3e}, requested {tol:.3e}")
+    return value
 
 
 def _gauss(f, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import movebar
+import movebar.cli
 from movebar.cli import main
 
 FIX = Path(__file__).resolve().parents[1] / "fixtures"
@@ -187,6 +188,29 @@ def test_validate_bad_heat_tolerance_is_an_input_error(capsys):
     assert "tol must be positive and finite, got nan" in err
 
 
+def test_validate_checks_the_path_count_before_the_lattice(capsys,
+                                                           monkeypatch):
+    def no_lattice(*args, **kwargs):
+        raise AssertionError("lattice solved before --mc-paths was checked")
+
+    monkeypatch.setattr(movebar.cli, "pde_price", no_lattice)
+    rc, out, err = run(capsys, "validate", "--curves", TWO_PIECE,
+                       "--contract", KNOCKOUT_CALL, "--spot", "100",
+                       "--time", "0", "--mc-paths", "99999")
+    assert rc == 2
+    assert out == ""
+    assert "n_paths must be even and at least 4, got 99999" in err
+
+
+def test_unattainable_heat_tolerance_is_an_accuracy_failure(capsys):
+    rc, out, err = run(capsys, "validate", "--curves", FLAT,
+                       "--contract", KNOCKOUT_CALL, "--spot", "100",
+                       "--time", "0", "--tol-heat", "1e-300", *VALIDATE_FAST)
+    assert rc == 1
+    assert out == ""
+    assert "accuracy failure: quadrature achieved" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["validate", "--tol-pde", "nan"],
     ["validate", "--tol-pde", "0"],
@@ -291,6 +315,30 @@ def test_non_numeric_field_is_an_input_error(capsys, tmp_path, field, value,
     assert rc == 2
     assert out == ""
     assert named in err
+
+
+def test_barrier_missing_field_is_an_input_error(capsys, tmp_path):
+    con = tmp_path / "con.json"
+    con.write_text(json.dumps(
+        {"strike": 100.0, "expiry": 1.0, "side": "call",
+         "style": "down_and_out", "barrier": {"C": 0.0}}))
+    rc, out, err = run(capsys, "price", "--curves", FLAT, "--contract",
+                       str(con), "--spot", "100", "--time", "0")
+    assert rc == 2
+    assert out == ""
+    assert f"{con}: barrier missing field 'h_T'" in err
+
+
+def test_curve_domain_error_is_a_load_error(capsys, tmp_path):
+    curves = json.loads(Path(FLAT).read_text())
+    curves["sigma"]["values"] = [0.0]
+    cur = tmp_path / "cur.json"
+    cur.write_text(json.dumps(curves))
+    rc, out, err = run(capsys, "curves", "show", "--curves", str(cur))
+    assert rc == 2
+    assert out == ""
+    # the file name shows the DomainError came back as a LoadError
+    assert f"{cur}: sigma values must be >= 1e-08" in err
 
 
 def test_missing_required_flag_exits_2(capsys):

@@ -114,6 +114,61 @@ def test_low_strike_put_has_no_value():
     assert heat_kernel_price(100.0, 0.0, con) == 0.0
 
 
+def _flat_contract(r, q, sigma, C, side="call", style="down_and_out"):
+    curves = mb.CurveSet.constant(r, q, sigma)
+    bar = mb.barrier_from_terminal(90.0, C, curves, 1.0)
+    return mb.BarrierContract(strike=100.0, expiry=1.0, side=side, style=style,
+                              barrier=bar)
+
+
+# Frozen from an 80-digit mpmath evaluation of the image formula
+# leg(S) - (S/h(t))^(2C+1) leg(h(t)^2/S), and vanilla minus that for the
+# knock-ins, on flat r 0.05, q 0.01, sigma 0.2 with h_T 90, K 100, T 1, t 0;
+# a 120-digit evaluation agrees to 1e-60.  The float closed forms overflow
+# at these C.  Each pair is (S = 100, S = 150).  From C = 200 on h(0) is
+# below 0.03, so the knockout call is the vanilla call to every digit shown
+# and the knock-in call is below 3e-22.
+_LARGE_C_CALLS = {"down_and_out": (9.826297782739118, 53.491545413764705),
+                  "down_and_in": (0.0, 0.0)}
+_LARGE_C_PUTS = {
+    ("down_and_out", 200): (0.8757488991208608, 0.04795411579066151),
+    ("down_and_out", 400): (0.8942894115904633, 0.0485966234704867),
+    ("down_and_out", 600): (0.9006088400504761, 0.04881912297205462),
+    ("down_and_out", 1000): (0.9057149846720771, 0.049000232365461374),
+    ("down_and_out", 5000): (0.9119020410935227, 0.04922128996640019),
+    ("down_and_out", 17000): (0.9130006575298824, 0.04926072835956355),
+    ("down_and_in", 200): (5.068507958772853, 0.05905868567023513),
+    ("down_and_in", 400): (5.049967446303251, 0.058416177990409934),
+    ("down_and_in", 600): (5.043648017843238, 0.05819367848884202),
+    ("down_and_in", 1000): (5.038541873221637, 0.058012569095435264),
+    ("down_and_in", 5000): (5.032354816800192, 0.05779151149449645),
+    ("down_and_in", 17000): (5.031256200363832, 0.05775207310133309),
+}
+
+
+@pytest.mark.parametrize("C", [200, 400, 600, 1000, 5000, 17000])
+@pytest.mark.parametrize("style", ["down_and_out", "down_and_in"])
+@pytest.mark.parametrize("side", ["call", "put"])
+def test_large_C_matches_image_formula_reference(side, style, C):
+    ref = (_LARGE_C_CALLS[style] if side == "call"
+           else _LARGE_C_PUTS[(style, C)])
+    con = _flat_contract(0.05, 0.01, 0.2, float(C), side, style)
+    for S, expected in zip((100.0, 150.0), ref):
+        assert abs(heat_kernel_price(S, 0.0, con) - expected) <= 1e-10
+
+
+@pytest.mark.parametrize("r,q,sigma,S,t", [(0.05, 0.01, 0.2, 150.0, 1 - 1e-6),
+                                           (0.0, 0.0, 1e-4, 135.0, 0.0)],
+                         ids=["near-expiry", "low-vol"])
+def test_narrow_kernel_far_above_the_strike_is_priced_whole(r, q, sigma, S, t):
+    # the kernel is far narrower than the distance from the strike to the
+    # spot: a window not cut to it on both sides lets the Gauss nodes miss
+    # half of it
+    con = _flat_contract(r, q, sigma, 0.0)
+    closed = mb.down_and_out_call(S, t, con).price
+    assert abs(heat_kernel_price(S, t, con) - closed) <= 1e-9
+
+
 def test_in_plus_out_equals_vanilla(td_contract, td_curves):
     out = heat_kernel_price(100.0, 0.0, td_contract(0.5))
     inn = heat_kernel_price(100.0, 0.0, td_contract(0.5, style="down_and_in"))

@@ -18,6 +18,18 @@ def test_grid_validation():
         PdeGrid(x_max=0.0, n_space=100, n_time=100)
 
 
+@pytest.mark.parametrize("S,x_max,named", [(80.0, 1.0, "below barrier level"),
+                                             (100.0, 0.05, "outside grid")],
+                         ids=["below-barrier", "above-x_max"])
+def test_explicit_grid_rejects_a_spot_off_the_grid(const_contract, S, x_max,
+                                                   named):
+    # an explicit grid skips PdeGrid.for_contract, so the solve checks the
+    # spot itself: the barrier is flat at 90 and x = ln(100/90) = 0.105
+    grid = PdeGrid(x_max=x_max, n_space=50, n_time=50)
+    with pytest.raises(DomainError, match=named):
+        pde_price(S, 0.0, const_contract, grid=grid)
+
+
 @pytest.mark.parametrize("counts", [{"n_space": 10.5}, {"n_time": 100.0},
                                     {"n_space": True}, {"n_space": "400"},
                                     {"n_space": None}])
