@@ -9,8 +9,10 @@ shared ingredient with the closed forms is the curve integrals.
 The gauge folded into the direct kernel leaves one discounted Gaussian
 exp(-rbar - (xi - x + a_T tau)^2 / 2 tau), in the float range at every
 admissible C; the reflected kernel is it times exp(-2 x xi / tau), so a
-knockout multiplies it by -expm1(-2 x xi / tau).  The integration variable
-is z = (xi - x + a_T tau) / sqrt(tau), where the Gaussian is exact.
+knockout multiplies it by -expm1(-2 x xi / tau) on xi >= 0 and a knock-in,
+its complement, by exp(-2 x max(xi, 0) / tau) on the whole line.  The
+integration variable is z = (xi - x + a_T tau) / sqrt(tau), where the
+Gaussian is exact.
 
 The integral is taken by a vectorised adaptive Gauss-Legendre rule (the
 bisection strategy of QUADPACK's QAG, Piessens et al. 1983): each panel
@@ -45,29 +47,30 @@ _EPS_REL = 1e-13
 
 @dataclass(frozen=True)
 class HeatCoords:
-    """Position x, diffusion time tau, gauge a_T and b_t, and the discount
-    rbar (recovered as b_t + a_T^2 tau / 2 it loses 1e-9 at C = 5,000)."""
+    """What an oracle reads of the valuation point: x = ln(S/h(t)) >= 0, the
+    diffusion time tau = sigma2bar, a_T = C + 1/2 (the walk's drift is
+    -a_T sigma^2) and the discount rbar, over [t, T]."""
 
     x: float
     tau: float
     a_T: float
-    b_t: float
     rbar: float
 
 
 def to_heat_coords(S: float, t: float, contract: BarrierContract) -> HeatCoords:
-    """Map (S, t) to the heat-equation frame of the contract's barrier.
+    """Map (S, t) to the barrier frame: the valuation rule of every oracle.
 
-    x = ln(S/h(t)) >= 0, tau and rbar the integrated variance and rate to
-    expiry, and the gauge a_T = C + 1/2, b_t = -(rbar + a_T^2 tau / 2) that
-    restores the price as V = e^{a_T x + b_t} U(x, tau).
+    Raises DomainError unless t < T and S >= h(t), on top of locate's rule
+    (S positive and finite, t >= 0).  At S = h(t), x = 0 and a knockout is
+    worth exactly 0.
     """
+    if t >= contract.expiry:
+        raise DomainError(f"the oracles require t < T, "
+                          f"got t={t}, T={contract.expiry}")
     lev, x, (rbar, _, tau) = contract.locate(S, t)
     if S < lev:
         raise DomainError(f"S={S} below barrier level {lev}")
-    a_T = contract.barrier.C + 0.5
-    b_t = -(rbar + 0.5 * a_T * a_T * tau)
-    return HeatCoords(x=x, tau=tau, a_T=a_T, b_t=b_t, rbar=rbar)
+    return HeatCoords(x=x, tau=tau, a_T=contract.barrier.C + 0.5, rbar=rbar)
 
 
 def _payoff_bounds(side: str, kink: float, x: float, tau: float, a_T: float,
@@ -76,9 +79,9 @@ def _payoff_bounds(side: str, kink: float, x: float, tau: float, a_T: float,
 
     The payoff's support (xi >= 0 for knockouts) within _TAIL_SDS of the
     centres x - a_T*tau (strike term) and x + (1 - a_T)*tau (e^xi term),
-    split at both, _BULK_SDS outside them and, for knockouts, at
-    tau/(2x) * 4^k, where the survival factor rises (at large C in a layer
-    far narrower than one standard deviation).
+    split at both, _BULK_SDS outside them, at xi = 0 and at tau/(2x) * 4^k,
+    where the survival factor rises (at large C in a layer far narrower
+    than one standard deviation).
     """
     sd = math.sqrt(tau)
     low, high = x - a_T * tau, x + (1.0 - a_T) * tau
@@ -87,11 +90,11 @@ def _payoff_bounds(side: str, kink: float, x: float, tau: float, a_T: float,
         lo = max(lo, kink)
     else:
         hi = min(hi, kink)
-    pts = [low - _BULK_SDS * sd, low, high, high + _BULK_SDS * sd]
+    pts = [low - _BULK_SDS * sd, low, high, high + _BULK_SDS * sd, 0.0]
     if knockout:
         lo = max(lo, 0.0)
-        if x > 0.0:
-            pts += [tau / (2.0 * x) * 4.0 ** k for k in range(8)]
+    if x > 0.0:
+        pts += [tau / (2.0 * x) * 4.0 ** k for k in range(8)]
     if not lo < hi:
         return None
     return lo, hi, sorted({p for p in pts if lo < p < hi})
@@ -102,28 +105,25 @@ def heat_kernel_price(S: float, t: float, contract: BarrierContract,
     """Price the contract by adaptive quadrature in the heat frame.
 
     Knockout styles integrate the two-term kernel, direct minus reflected,
-    on the half-line; knock-in styles are priced as the direct kernel's
-    integral over the whole line (the no-barrier price) minus the knockout
-    one.
+    on the half-line; knock-in styles integrate its complement, the direct
+    kernel below the barrier and the reflected one above it, on the whole
+    line.  Either is one integral to the absolute tolerance tol.
 
     Raises AccuracyError if the quadrature error estimate exceeds tol, and
-    DomainError if tol is not a positive finite number.
+    DomainError if tol is not a positive finite number or (S, t) breaks
+    to_heat_coords' rule.
     """
     check_tolerance("tol", tol)
-    if t >= contract.expiry:
-        raise DomainError(f"quadrature pricer requires t < T, "
-                          f"got t={t}, T={contract.expiry}")
     coords = to_heat_coords(S, t, contract)
-    if contract.style == "down_and_in":
-        whole = _integral(coords, contract, tol / 2.0, knockout=False)
-        return whole - _integral(coords, contract, tol / 2.0, knockout=True)
-    return _integral(coords, contract, tol, knockout=True)
+    return _integral(coords, contract, tol,
+                     knockout=contract.style == "down_and_out")
 
 
 def _integral(coords: HeatCoords, contract: BarrierContract, tol: float,
               knockout: bool) -> float:
-    """The payoff against the discounted Gaussian, times the survival
-    factor when knockout, on the knockout (half-line) or whole-line window."""
+    """The payoff against the discounted Gaussian times the knockout's
+    survival factor on the half-line, or the knock-in's complement of it on
+    the whole line."""
     x, tau, a_T, rbar = coords.x, coords.tau, coords.a_T, coords.rbar
     K, h_T = contract.strike, contract.barrier.h_T
     kink = math.log(K) - math.log(h_T)
@@ -140,6 +140,8 @@ def _integral(coords: HeatCoords, contract: BarrierContract, tol: float,
         k = np.exp(-rbar - 0.5 * z * z)
         if knockout:
             k *= -np.expm1(-2.0 * x * xi / tau)
+        else:
+            k *= np.exp(-2.0 * x * np.maximum(xi, 0.0) / tau)
         return norm * k * (sign * (np.exp(xi) * h_T - K))
 
     with np.errstate(over="ignore", invalid="ignore"):

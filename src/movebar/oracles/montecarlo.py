@@ -39,6 +39,7 @@ from scipy.special import ndtri
 
 from ..contract import BarrierContract
 from ..errors import AccuracyError, DomainError, check_integers
+from .heatkernel import to_heat_coords
 from .pde import _time_grid
 
 _CHUNK = 4096  # pairs, so 8192 paths
@@ -130,7 +131,9 @@ def mc_price(S: float, t: float, contract: BarrierContract,
     Knockout styles weight the payoff by the path's survival probability;
     knock-in styles by its complement.  Paths walk in antithetic pairs: n_paths
     must be even and at least 4, and std_error is that of the pair means.
-    Raises AccuracyError if the price or std_error is not finite.
+    (S, t) must pass to_heat_coords' rule; at S = h(t) every path is knocked
+    out at its first step.  Raises AccuracyError if the price or std_error
+    is not finite.
     """
     check_integers(n_paths=n_paths, n_steps=n_steps, seed=seed)
     if n_paths < 4 or n_paths % 2:
@@ -139,23 +142,19 @@ def mc_price(S: float, t: float, contract: BarrierContract,
         raise DomainError(f"need n_steps >= 1, got {n_steps}")
     if not 0 <= int(seed) < 2 ** 64:
         raise DomainError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
-    if t >= contract.expiry:
-        raise DomainError(f"simulation requires t < T, got t={t}, T={contract.expiry}")
-    lev, x0, (rbar, _, _) = contract.locate(S, t)
-    if S <= lev:
-        raise DomainError(f"S={S} at or below barrier level {lev}")
+    co = to_heat_coords(S, t, contract)
 
     times = _time_grid(t, contract.expiry, n_steps, contract)
     steps = len(times) - 1
     sig = np.array([contract.curves.sigma.value_at(0.5 * (a + b))
                     for a, b in zip(times[:-1], times[1:])])
     var = sig * sig * np.diff(times)
-    drift = -(contract.barrier.C + 0.5) * var
+    drift = -co.a_T * var
     sd = np.sqrt(var)
-    disc = math.exp(-rbar)
+    disc = math.exp(-co.rbar)
 
     pairs = n_paths // 2
-    x = np.full((2, pairs), x0)  # column k is pair k: row 0 walks +z, row 1 -z
+    x = np.full((2, pairs), co.x)  # column k is pair k: row 0 walks +z, row 1 -z
     w = np.ones((2, pairs))
     los = range(0, pairs, _CHUNK)
     workers = min(_pool_size(), len(los))

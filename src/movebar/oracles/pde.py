@@ -22,6 +22,7 @@ from scipy.linalg.lapack import dgttrf, dgttrs
 
 from ..contract import BarrierContract
 from ..errors import AccuracyError, DomainError, check_integers, check_tolerance
+from .heatkernel import to_heat_coords
 
 # width of the truncated domain in units of total volatility
 _DOMAIN_SDS = 8.0
@@ -52,14 +53,13 @@ class PdeGrid:
         The payoff kink ln(K/h_T) is snapped onto a grid node (the node
         count is kept, x_max moves slightly) so the terminal data is exactly
         representable; a kink that rounds to node 0 stays off the grid, as
-        its snap would collapse the domain.
+        its snap would collapse the domain.  (S, t) must pass
+        to_heat_coords' rule.
         """
         check_integers(n_space=n_space, n_time=n_time)
-        lev, x_spot, (_, _, sigma2bar) = contract.locate(S, t)
-        if S < lev:
-            raise DomainError(f"S={S} below barrier level {lev}")
+        co = to_heat_coords(S, t, contract)
         kink = math.log(contract.strike) - math.log(contract.barrier.h_T)
-        x_max = max(x_spot, kink, 0.0) + _DOMAIN_SDS * math.sqrt(sigma2bar)
+        x_max = max(co.x, kink, 0.0) + _DOMAIN_SDS * math.sqrt(co.tau)
         j = round(kink * n_space / x_max)
         if j >= 1:
             x_max = kink * n_space / j
@@ -89,18 +89,16 @@ def pde_price(S: float, t: float, contract: BarrierContract,
     """Crank-Nicolson price of the knockout problem for the contract's side.
 
     Knock-in styles have no absorbing-boundary PDE of their own; price them
-    as vanilla minus knockout.  If tol is given the solve is repeated on a
-    half-resolution grid and a Richardson error estimate above tol raises
-    AccuracyError; a tol that is not a positive finite number raises
-    DomainError.
+    as vanilla minus knockout.  (S, t) must pass to_heat_coords' rule.  If
+    tol is given the solve is repeated on a half-resolution grid and a
+    Richardson error estimate above tol raises AccuracyError; a tol that is
+    not a positive finite number raises DomainError.
     """
     if tol is not None:
         check_tolerance("tol", tol)
     if contract.style != "down_and_out":
         raise DomainError("lattice oracle prices down_and_out styles; "
                           "knock-in follows from in + out = vanilla")
-    if t >= contract.expiry:
-        raise DomainError(f"lattice pricer requires t < T, got t={t}, T={contract.expiry}")
     if grid is None:
         grid = PdeGrid.for_contract(S, t, contract)
     value = _solve(S, t, contract, grid)
@@ -118,9 +116,7 @@ def pde_price(S: float, t: float, contract: BarrierContract,
 def _solve(S: float, t: float, contract: BarrierContract, grid: PdeGrid) -> float:
     cs = contract.curves
     h_T, C, K = contract.barrier.h_T, contract.barrier.C, contract.strike
-    lev_t, x_eval, _ = contract.locate(S, t)
-    if S < lev_t:
-        raise DomainError(f"S={S} below barrier level {lev_t}")
+    x_eval = to_heat_coords(S, t, contract).x
     if x_eval > grid.x_max:
         raise DomainError(f"x={x_eval:.4f} outside grid [0, {grid.x_max:.4f}]")
     try:  # the terminal spots and the call boundary reach h_T*exp(x_max)

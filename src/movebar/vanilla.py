@@ -20,17 +20,15 @@ def norm_cdf(x: float) -> float:
 
 @dataclass(frozen=True)
 class VanillaQuote:
-    """Price plus the pieces the barrier formulas reuse.
+    """Price plus the d arguments the barrier formulas reuse.
 
     d1 and d1_prime are None only for an expired quote (t >= T), where the
-    price is the immediate payoff and the discounts are 1.
+    price is the immediate payoff.
     """
 
     price: float
     d1: Optional[float]
     d1_prime: Optional[float]
-    discount_r: float
-    discount_q: float
 
 
 def _check_spot_strike(S: float, K: float):
@@ -57,8 +55,7 @@ def quote_from_bars(S: float, K: float, rbar: float, qbar: float,
         price = disc_q * S * norm_cdf(d1) - K * disc_r * norm_cdf(d1p)
     else:
         price = K * disc_r * norm_cdf(-d1p) - disc_q * S * norm_cdf(-d1)
-    return VanillaQuote(price=max(price, 0.0), d1=d1, d1_prime=d1p,
-                        discount_r=disc_r, discount_q=disc_q)
+    return VanillaQuote(price=max(price, 0.0), d1=d1, d1_prime=d1p)
 
 
 def _vanilla(S: float, t: float, K: float, T: float, curves: CurveSet,
@@ -66,8 +63,7 @@ def _vanilla(S: float, t: float, K: float, T: float, curves: CurveSet,
     _check_spot_strike(S, K)
     if t >= T:
         pay = max(S - K, 0.0) if side == "call" else max(K - S, 0.0)
-        return VanillaQuote(price=pay, d1=None, d1_prime=None,
-                            discount_r=1.0, discount_q=1.0)
+        return VanillaQuote(price=pay, d1=None, d1_prime=None)
     return quote_from_bars(S, K, *curves.bars(t, T), side)
 
 

@@ -166,6 +166,19 @@ def test_validate_coarse_lattice_fails(capsys):
     assert by_name["lattice_vs_closed_rel"]["passed"] is False
 
 
+def test_validate_on_the_barrier_prices_every_oracle_at_zero(capsys):
+    # S = h(0): the knockout is worth exactly 0 by the closed form and by
+    # all three oracles
+    con = movebar.load_contract(KNOCKOUT_CALL, movebar.load_curves(TWO_PIECE))
+    rc, out, _ = run(capsys, "validate", "--curves", TWO_PIECE,
+                     "--contract", KNOCKOUT_CALL,
+                     "--spot", repr(con.barrier.level(0.0)), "--time", "0",
+                     *VALIDATE_FAST)
+    assert rc == 0
+    results = json.loads(out)["results"]
+    assert [r["value"] for r in results] == [0.0, 0.0, 0.0]
+
+
 def test_validate_low_strike_cross_checks_oracles(capsys):
     rc, out, err = run(capsys, "validate", "--curves", FLAT_DIV,
                        "--contract", LOW_STRIKE,

@@ -6,7 +6,7 @@ import pytest
 
 import movebar as mb
 from movebar import AccuracyError, DomainError, heat_kernel_price, to_heat_coords
-from movebar.oracles.heatkernel import _MAX_PANELS, _adaptive_gauss, _integral
+from movebar.oracles.heatkernel import _MAX_PANELS, _adaptive_gauss
 
 
 def test_coordinates_anchor(const_contract):
@@ -14,15 +14,13 @@ def test_coordinates_anchor(const_contract):
     assert co.x == pytest.approx(math.log(100.0 / 90.0), rel=1e-14)
     assert co.tau == pytest.approx(0.04, rel=1e-14)
     assert co.a_T == -0.75
-    # b = -(rbar + a^2 tau / 2) = -(0.05 + 0.28125 * 0.04)
-    assert co.b_t == pytest.approx(-0.06125, rel=1e-14)
+    assert co.rbar == pytest.approx(0.05, rel=1e-14)
 
 
 def test_coordinates_at_expiry(const_contract):
-    co = to_heat_coords(95.0, 1.0, const_contract)
-    assert co.tau == 0.0
-    assert co.b_t == 0.0
-    assert co.x == pytest.approx(math.log(95.0 / 90.0), rel=1e-14)
+    # no diffusion time is left at t = T: the oracles' rule is t < T
+    with pytest.raises(DomainError, match=r"got t=1\.0, T=1\.0"):
+        to_heat_coords(95.0, 1.0, const_contract)
 
 
 def test_coordinates_validation(const_contract):
@@ -84,13 +82,26 @@ def test_matches_closed_form_on_random_draws(draw_case, side, style, pieces):
         assert abs(heat_kernel_price(S, t, con) - closed) <= 1e-9
 
 
-def test_dropping_the_image_recovers_vanilla(const_contract, const_curves):
-    # with the payoff supported above the barrier, the direct kernel alone
-    # integrates to the vanilla price
-    vanilla = mb.vanilla_call(100.0, 0.0, 100.0, 1.0, const_curves).price
-    coords = to_heat_coords(100.0, 0.0, const_contract)
-    bare = _integral(coords, const_contract, 1e-10, knockout=False)
-    assert abs(bare - vanilla) <= 1e-9
+def test_dropping_the_image_recovers_vanilla(const_curves):
+    # at S = h(t), x = 0 and the knock-in's factor exp(-2 x max(xi, 0)/tau)
+    # is 1 everywhere: the direct kernel alone integrates to the vanilla
+    bar = mb.barrier_from_terminal(90.0, -1.25, const_curves, 1.0)
+    con = mb.BarrierContract(strike=100.0, expiry=1.0, side="call",
+                             style="down_and_in", barrier=bar)
+    lev = bar.level(0.0)
+    assert to_heat_coords(lev, 0.0, con).x == 0.0
+    vanilla = mb.vanilla_call(lev, 0.0, 100.0, 1.0, const_curves).price
+    assert abs(heat_kernel_price(lev, 0.0, con) - vanilla) <= 1e-9
+
+
+def test_worthless_knockin_with_a_large_vanilla_meets_the_tolerance():
+    # far above a steeply rising barrier the knock-in is worth 1.2e-15 while
+    # the vanilla is worth hundreds: priced as their difference, at tol/2
+    # each, it could not meet an absolute 1e-10
+    con = _flat_contract(0.05, 0.01, 0.2, -50.0, style="down_and_in")
+    S = 1.5 * con.barrier.level(0.0)
+    closed = mb.down_and_in_call(S, 0.0, con).price
+    assert abs(heat_kernel_price(S, 0.0, con) - closed) <= 1e-10
 
 
 def test_low_strike_anchor():

@@ -117,6 +117,22 @@ def test_agreement_at_low_step_counts(request, curves, side, style, n_steps):
     assert abs(est.price - closed) <= 4.0 * est.std_error
 
 
+@pytest.mark.parametrize("C", [-1.25, 0.0, 3.0])
+@pytest.mark.parametrize("side", ["call", "put"])
+def test_spot_on_the_barrier_is_knocked_out_at_the_first_step(td_contract,
+                                                               side, C):
+    # x0 = 0 makes every path's first crossing factor exactly 0: the
+    # knockout is worth exactly 0 and the knock-in is the vanilla estimate
+    out = td_contract(C, side=side)
+    lev = out.barrier.level(0.0)
+    est = mc_price(lev, 0.0, out, n_paths=20_000, n_steps=16, seed=13)
+    assert (est.price, est.std_error, est.knockout_fraction) == (0.0, 0.0, 1.0)
+    inn = td_contract(C, side=side, style="down_and_in")
+    closed = mb.price_contract(lev, 0.0, inn).price
+    est = mc_price(lev, 0.0, inn, n_paths=20_000, n_steps=16, seed=13)
+    assert abs(est.price - closed) <= 4.0 * est.std_error
+
+
 def test_remote_barrier_recovers_vanilla(const_curves):
     # barrier far below spot: no knockouts, estimator reduces to plain
     # discounted-payoff sampling
@@ -168,9 +184,6 @@ def test_input_validation(const_contract):
         mc_price(100.0, 0.0, const_contract, seed=2 ** 64)
     with pytest.raises(DomainError):
         mc_price(100.0, 1.0, const_contract)
-    lev = const_contract.barrier.level(0.0)
-    with pytest.raises(DomainError):
-        mc_price(lev, 0.0, const_contract)  # starting on the barrier
     for bad in ({"n_paths": 100.0}, {"n_steps": 4.5}, {"n_steps": True},
                 {"seed": True}, {"seed": 1.0}):
         name, value = next(iter(bad.items()))

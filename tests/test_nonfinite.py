@@ -87,9 +87,10 @@ def test_bad_valuation_point_is_named(const_contract, name, S, t, match):
 
 @pytest.mark.parametrize("t", [1.0, 1.5])
 @pytest.mark.parametrize("name", ["heat_kernel_price", "pde_price", "mc_price",
-                                  "d_values"])
+                                  "d_values", "to_heat_coords",
+                                  "PdeGrid.for_contract"])
 def test_no_time_to_expiry_names_the_time(const_contract, name, t):
-    fn = mb.d_values if name == "d_values" else PRICERS[name]
+    fn = PRICERS.get(name) or ENTRY_POINTS[name]
     with pytest.raises(DomainError, match=re.escape(f"got t={t}, T=1.0")):
         fn(100.0, t, const_contract)
 

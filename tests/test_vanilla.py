@@ -41,8 +41,6 @@ def test_call_anchor_constant_curves(const_curves):
     assert q.price == pytest.approx(10.450583572185565, rel=2e-13)
     assert q.d1 == pytest.approx(0.35, rel=1e-12)
     assert q.d1_prime == pytest.approx(0.15, rel=1e-12)
-    assert q.discount_r == pytest.approx(math.exp(-0.05), rel=1e-15)
-    assert q.discount_q == 1.0
 
 
 def test_put_anchor_constant_curves(const_curves):
@@ -94,7 +92,7 @@ def test_deep_out_of_the_money_price_is_clamped_nonnegative():
 def test_expired_quotes(const_curves):
     for t in (1.0, 1.5):
         q = mb.vanilla_call(120.0, t, 100.0, 1.0, const_curves)
-        assert (q.price, q.d1, q.discount_r) == (20.0, None, 1.0)
+        assert (q.price, q.d1) == (20.0, None)
         p = mb.vanilla_put(80.0, t, 100.0, 1.0, const_curves)
         assert p.price == 20.0
 
