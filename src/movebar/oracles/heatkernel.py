@@ -81,11 +81,16 @@ def _payoff_bounds(side: str, kink: float, x: float, tau: float, a_T: float,
     centres x - a_T*tau (strike term) and x + (1 - a_T)*tau (e^xi term),
     split at both, _BULK_SDS outside them, at xi = 0 and at tau/(2x) * 4^k,
     where the survival factor rises (at large C in a layer far narrower
-    than one standard deviation).
+    than one standard deviation).  Raises AccuracyError if the whole
+    kernel's window is empty in floats, sqrt(tau) being below the float
+    spacing of xi.
     """
     sd = math.sqrt(tau)
     low, high = x - a_T * tau, x + (1.0 - a_T) * tau
     lo, hi = low - _TAIL_SDS * sd, high + _TAIL_SDS * sd
+    if not lo < hi:
+        raise AccuracyError(f"kernel width sqrt(tau)={sd:.3g} is below the "
+                            f"float spacing of xi at its centre {low:.6g}")
     if side == "call":
         lo = max(lo, kink)
     else:
@@ -150,8 +155,11 @@ def _integral(coords: HeatCoords, contract: BarrierContract, tol: float,
     if not (math.isfinite(value) and math.isfinite(abserr)):
         raise AccuracyError(f"quadrature overflowed on [{lo:.4g}, {hi:.4g}]")
     if abserr > tol:
+        floor = _EPS_REL * abs(value)
+        below = (f", below the relative floor {_EPS_REL:g} * |value| = "
+                 f"{floor:.3g}" if tol < floor else "")
         raise AccuracyError(
-            f"quadrature achieved {abserr:.3e}, requested {tol:.3e}")
+            f"quadrature achieved {abserr:.3e}, requested {tol:.3e}{below}")
     return value
 
 

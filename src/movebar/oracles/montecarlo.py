@@ -15,10 +15,17 @@ Paths come in antithetic pairs, one walking the normals +z and the other -z,
 so a pair costs one set of normals.  Randomness comes from counter-mode
 Philox keyed by the seed: pair k consumes the counter blocks starting at
 k * ceil(n_steps/4), so chunks of pairs are independent.  The chunks run on
-a thread pool with one thread per available core (numpy, ndtri and Philox
-release the interpreter lock) and write their paths' terminal x and
-survival weights into arrays shared by all chunks.  The estimate is reduced
-from them once at the end, its standard error from the pair means, so it is
+a thread pool with one thread per available core and write their paths'
+terminal x and survival weights into arrays shared by all chunks.  Drawing
+a chunk's normals is a few long Philox and ndtri calls that release the
+interpreter lock, so the draws run in parallel.  The walk is 11 short numpy
+calls per step (a few microseconds each on 8192 paths), each of which drops
+and retakes the interpreter lock, so two walks at once trade it on every
+call and run slower than one; the walks therefore take turns under one
+lock per mc_price call, while the other workers draw their next normals.
+Were the walk ever a few long calls, the lock could go.  The estimate is
+reduced from them once at the end, its standard error from the pair means,
+so it is
 bit-identical for a given (seed, n_paths, n_steps) whatever the thread count
 or chunk size.  Each worker holds the normals of one chunk, 8 bytes per
 pair-step, plus one tile of raw words (about 9 MB for 4096 pairs x 256
@@ -31,6 +38,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -94,33 +102,35 @@ def _pool_size() -> int:
         return os.cpu_count() or 1
 
 
-def _walk_chunk(seed, lo, x, w, drift, sd, var, buf):
+def _walk_chunk(seed, lo, x, w, drift, sd, var, buf, lock):
     """Walk the antithetic pairs [lo, lo + m) in x = ln(S/h(t)).
 
     ``x`` and ``w`` are (2, m) blocks of start x and survival weight 1, the
     paths walking +z in row 0 and -z in row 1, and are left at their terminal
     values.  The normals go into the head of ``buf``, a 1-D float array of at
     least m * len(var), viewed as (steps, pairs).  Runs on worker threads, so
-    it calls only numpy and scipy."""
+    it calls only numpy and scipy; the normals are drawn outside ``lock`` and
+    the step loop runs under it."""
     steps, m = len(var), x.shape[1]
     z = _chunk_normals(seed, lo, buf[:steps * m].reshape(steps, m))
     start = np.empty(x.shape)  # -2 x at the step's start
     expo = np.empty(x.shape)
-    for i in range(steps):
-        # same roundings as x_next = x + drift + sd*(+-z) and
-        # expo = -2*x*x_next/var written as single expressions
-        np.multiply(-2.0, x, out=start)
-        np.multiply(sd[i], z[i], out=expo[0])
-        np.negative(expo[0], out=expo[1])
-        np.add(x, drift[i], out=x)
-        np.add(x, expo, out=x)
-        # exponent >= 0 iff an endpoint is at/below the barrier: p = 1
-        np.multiply(start, x, out=expo)
-        np.divide(expo, var[i], out=expo)
-        np.clip(expo, _E_MIN, 0.0, out=expo)
-        np.exp(expo, out=expo)
-        np.subtract(1.0, expo, out=expo)
-        np.multiply(w, expo, out=w)
+    with lock:
+        for i in range(steps):
+            # same roundings as x_next = x + drift + sd*(+-z) and
+            # expo = -2*x*x_next/var written as single expressions
+            np.multiply(-2.0, x, out=start)
+            np.multiply(sd[i], z[i], out=expo[0])
+            np.negative(expo[0], out=expo[1])
+            np.add(x, drift[i], out=x)
+            np.add(x, expo, out=x)
+            # exponent >= 0 iff an endpoint is at/below the barrier: p = 1
+            np.multiply(start, x, out=expo)
+            np.divide(expo, var[i], out=expo)
+            np.clip(expo, _E_MIN, 0.0, out=expo)
+            np.exp(expo, out=expo)
+            np.subtract(1.0, expo, out=expo)
+            np.multiply(w, expo, out=w)
 
 
 def mc_price(S: float, t: float, contract: BarrierContract,
@@ -159,12 +169,13 @@ def mc_price(S: float, t: float, contract: BarrierContract,
     los = range(0, pairs, _CHUNK)
     workers = min(_pool_size(), len(los))
     normals = np.empty((workers, min(_CHUNK, pairs) * steps))
+    lock = threading.Lock()  # one walk at a time; see the module docstring
 
     def walk(k):
         # worker k walks every workers-th chunk with its own normals buffer
         for lo in los[k::workers]:
             _walk_chunk(int(seed), lo, x[:, lo:lo + _CHUNK],
-                        w[:, lo:lo + _CHUNK], drift, sd, var, normals[k])
+                        w[:, lo:lo + _CHUNK], drift, sd, var, normals[k], lock)
 
     with ThreadPoolExecutor(workers) as pool:
         for future in [pool.submit(walk, k) for k in range(workers)]:

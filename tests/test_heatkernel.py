@@ -215,3 +215,28 @@ def test_refinement_stops_at_the_panel_cap():
     value, abserr = _adaptive_gauss(f, [0.0, 1.0], epsabs=1e-300)
     assert len(calls) == _MAX_PANELS
     assert abserr > 1e-13 * value > 0.0
+
+
+def test_kernel_narrower_than_the_float_spacing_raises():
+    # sqrt(tau) = 1e-158 beside x = ln(150/90): the kernel's whole window
+    # rounds to one float, where the closed form gives 50
+    curves = mb.CurveSet.constant(0.05, 0.0, 1e-8)
+    bar = mb.barrier_from_terminal(90.0, 0.0, curves, 1e-300)
+    con = mb.BarrierContract(strike=100.0, expiry=1e-300, side="call",
+                             style="down_and_out", barrier=bar)
+    assert mb.price_contract(150.0, 0.0, con).price == 50.0
+    with pytest.raises(AccuracyError, match=r"sqrt\(tau\)=1e-158 .* centre "
+                                            r"0\.510826"):
+        heat_kernel_price(150.0, 0.0, con)
+
+
+def test_tolerance_below_the_relative_floor_is_named(td_curves):
+    # a price of 2,063.73 stops refining at 1e-13 relative, 2.06e-10, above
+    # the requested 1e-10 absolute
+    bar = mb.barrier_from_terminal(90.0, -50.0, td_curves, 1.0)
+    con = mb.BarrierContract(strike=100.0, expiry=1.0, side="call",
+                             style="down_and_out", barrier=bar)
+    with pytest.raises(AccuracyError, match=r"achieved 1\.151e-10, requested "
+                       r"1\.000e-10, below the relative floor 1e-13 \* "
+                       r"\|value\| = 2\.06e-10$"):
+        heat_kernel_price(1.5 * bar.level(0.0), 0.0, con, tol=1e-10)

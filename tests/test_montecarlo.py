@@ -1,5 +1,8 @@
 """Simulation oracle: reproducibility, substreams, statistical agreement."""
 import math
+import sys
+import threading
+import types
 
 import numpy as np
 import pytest
@@ -207,10 +210,59 @@ def test_thread_count_does_not_change_the_estimate(const_contract, monkeypatch):
     base = mc_price(100.0, 0.0, const_contract, n_paths=3000, n_steps=8, seed=3)
     estimates = []
     chunks = (mc_mod._CHUNK, 700, 333)
-    for workers in (1, 3):
+    for workers in (1, 2, 3):
         monkeypatch.setattr(mc_mod, "_pool_size", lambda: workers)
         for chunk in chunks:
             monkeypatch.setattr(mc_mod, "_CHUNK", chunk)
             estimates.append(mc_price(100.0, 0.0, const_contract, n_paths=3000,
                                       n_steps=8, seed=3))
     assert all(est == base for est in estimates)
+
+
+def test_chunk_walks_take_turns(const_contract, monkeypatch):
+    # a stand-in for the walk lock records each walk section; the sections
+    # of different chunks must never overlap, and no worker may draw its
+    # normals while it holds the lock
+    import movebar.oracles.montecarlo as mc_mod
+    events = []
+
+    class RecordingLock:
+        def __init__(self):
+            self._lock = threading.Lock()
+            self.owner = None
+
+        def __enter__(self):
+            self._lock.acquire()
+            self.owner = threading.get_ident()
+            events.append(("start", self.owner))
+
+        def __exit__(self, *exc):
+            events.append(("end", self.owner))
+            self.owner = None
+            self._lock.release()
+
+    lock = RecordingLock()
+    draw = mc_mod._chunk_normals
+
+    def recording_draw(*args):
+        me = threading.get_ident()
+        events.append(("draw", me, lock.owner == me))
+        return draw(*args)
+
+    monkeypatch.setattr(mc_mod, "threading",
+                        types.SimpleNamespace(Lock=lambda: lock))
+    monkeypatch.setattr(mc_mod, "_chunk_normals", recording_draw)
+    monkeypatch.setattr(mc_mod, "_pool_size", lambda: 3)
+    monkeypatch.setattr(mc_mod, "_CHUNK", 333)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        mc_price(100.0, 0.0, const_contract, n_paths=3000, n_steps=8, seed=3)
+    finally:
+        sys.setswitchinterval(interval)
+    sections = [e for e in events if e[0] != "draw"]
+    # 1500 pairs make five chunks of at most 333: five sections in turn
+    assert [e[0] for e in sections] == ["start", "end"] * 5
+    assert all(a[1] == b[1] for a, b in zip(sections[::2], sections[1::2]))
+    draws = [e for e in events if e[0] == "draw"]
+    assert len(draws) == 5 and not any(held for _, _, held in draws)
