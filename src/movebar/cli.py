@@ -21,7 +21,6 @@ from .contract import load_contract
 from .curves import load_curves
 from .errors import (AccuracyError, DomainError, LoadError, RegimeError,
                      check_tolerance)
-from .oracles import PdeGrid, heat_kernel_price, mc_price, pde_price
 from .vanilla import vanilla_call, vanilla_put
 
 TOL_PARITY = 1e-12
@@ -144,6 +143,8 @@ def cmd_validate(args) -> int:
     # --tol-heat is checked by the quadrature pricer
     check_tolerance("--tol-pde", args.tol_pde)
     check_tolerance("--mc-sigmas", args.mc_sigmas)
+    # numpy and scipy load here, so the other commands start without them
+    from .oracles import PdeGrid, heat_kernel_price, mc_price, pde_price
     curves, contract, inputs = _load(args)
     S, t = args.spot, args.time
     out_contract = dataclasses.replace(contract, style="down_and_out")

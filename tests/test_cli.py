@@ -9,6 +9,7 @@ import pytest
 
 import movebar
 import movebar.cli
+import movebar.oracles
 from movebar.cli import main
 
 FIX = Path(__file__).resolve().parents[1] / "fixtures"
@@ -206,7 +207,7 @@ def test_validate_checks_the_path_count_before_the_lattice(capsys,
     def no_lattice(*args, **kwargs):
         raise AssertionError("lattice solved before --mc-paths was checked")
 
-    monkeypatch.setattr(movebar.cli, "pde_price", no_lattice)
+    monkeypatch.setattr(movebar.oracles, "pde_price", no_lattice)
     rc, out, err = run(capsys, "validate", "--curves", TWO_PIECE,
                        "--contract", KNOCKOUT_CALL, "--spot", "100",
                        "--time", "0", "--mc-paths", "99999")
@@ -244,19 +245,71 @@ def test_bad_tolerance_flag_is_an_input_error(capsys, argv):
     assert f"{flag} must be positive and finite, got {float(value)}" in err
 
 
-def test_cli_import_leaves_heavy_scipy_subpackages_out():
-    # the CLI's cold start is mostly import time, and nothing in the package
-    # needs these subpackages
+def _fresh_python(code):
+    """Run ``code`` in a new interpreter that imports this checkout."""
     src = str(Path(movebar.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    code = ("import sys, movebar.cli; print(sorted(m for m in "
-            "('scipy.integrate', 'scipy.interpolate', 'scipy.optimize') "
-            "if m in sys.modules))")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    return subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+def test_cli_import_leaves_heavy_scipy_subpackages_out():
+    # validate's start is mostly import time, and nothing in the package
+    # needs these subpackages; the oracles are what loads scipy
+    proc = _fresh_python(
+        "import sys, movebar.cli, movebar.oracles; print(sorted(m for m in "
+        "('scipy.integrate', 'scipy.interpolate', 'scipy.optimize') "
+        "if m in sys.modules))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+PAIR = ["--curves", TWO_PIECE, "--contract", KNOCKOUT_CALL,
+        "--spot", "100", "--time", "0"]
+
+
+@pytest.mark.parametrize("argvs, loaded", [
+    ([["price", *PAIR], ["parity", *PAIR],
+      ["curves", "show", "--curves", TWO_PIECE]], []),
+    ([["validate", *PAIR, *VALIDATE_FAST]], ["numpy", "scipy"]),
+], ids=["closed forms", "validate"])
+def test_only_validate_loads_numpy_and_scipy(argvs, loaded):
+    # the closed forms use only math; the oracles load on first use
+    proc = _fresh_python(
+        "import contextlib, io, sys, movebar, movebar.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [movebar.cli.main(argv) for argv in {argvs!r}]\n"
+        "print(codes, sorted(m for m in ('numpy', 'scipy') "
+        "if m in sys.modules))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == f"{[0] * len(argvs)} {loaded}"
+
+
+def test_every_public_name_resolves():
+    namespace = {}
+    exec("from movebar import *", namespace)
+    assert set(movebar.__all__) <= namespace.keys()
+    from movebar import PdeGrid, mc_price
+    assert (PdeGrid, mc_price) == (movebar.oracles.PdeGrid,
+                                   movebar.oracles.mc_price)
+    assert set(movebar.__all__) <= set(dir(movebar))
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        movebar.no_such_name
+
+
+def test_oracle_names_follow_rebinding_in_the_oracles(monkeypatch):
+    # the package looks the name up on every access, so a wrapper bound in
+    # movebar.oracles is seen at once and gone once unbound
+    original = movebar.mc_price
+
+    def stub(*args, **kwargs):
+        raise AssertionError("stub called")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(movebar.oracles, "mc_price", stub)
+        assert movebar.mc_price is stub
+    assert movebar.mc_price is original
 
 
 def test_curves_show_round_trips(capsys):
