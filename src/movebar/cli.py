@@ -186,7 +186,8 @@ def cmd_validate(args) -> int:
 
     params["simulation"] = {"std_error": est.std_error,
                             "knockout_fraction": est.knockout_fraction,
-                            "n_paths": est.n_paths, "n_steps": est.n_steps}
+                            "n_paths": est.n_paths, "n_steps": est.n_steps,
+                            "ess": est.ess}
     if closed is None:
         params["closed_form"] = "skipped: strike below terminal barrier"
     return _report("validate", inputs, params, results, args.csv, started)

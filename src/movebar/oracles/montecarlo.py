@@ -12,48 +12,45 @@ factor is exactly 1.0 already, and numpy's exp is many times slower on the
 large negative exponents of paths far from the barrier.
 
 Paths come in antithetic pairs, one walking the normals +z and the other -z,
-so a pair costs one set of normals.  Randomness comes from counter-mode
-Philox keyed by the seed: pair k consumes the counter blocks starting at
-k * ceil(n_steps/4), so chunks of pairs are independent.  The chunks run on
-a thread pool with one thread per available core and write their paths'
-terminal x and survival weights into arrays shared by all chunks.  Drawing
-a chunk's normals is a few long Philox and ndtri calls that release the
-interpreter lock, so the draws run in parallel.  The walk is 11 short numpy
-calls per step (a few microseconds each on 8192 paths), each of which drops
-and retakes the interpreter lock, so two walks at once trade it on every
-call and run slower than one; the walks therefore take turns under one
-lock per mc_price call, while the other workers draw their next normals.
-Were the walk ever a few long calls, the lock could go.  The estimate is
-reduced from them once at the end, its standard error from the pair means,
-so it is
-bit-identical for a given (seed, n_paths, n_steps) whatever the thread count
-or chunk size.  Each worker holds the normals of one chunk, 8 bytes per
-pair-step, plus one tile of raw words (about 9 MB for 4096 pairs x 256
-steps), in one block allocated by the calling thread and reused for every
-chunk: buffers allocated and freed on the worker threads stay cached in the
-allocator's per-thread arenas, and the peak memory then depends on which
-thread ran which chunk.
+so a pair costs one set of normals.  The normals come from numpy's ziggurat
+sampler on one seeded stream per block of _BLOCK pairs: block b reads
+SFC64(SeedSequence(seed, spawn_key=(b,))), drawn row by row, so step i of
+pair _BLOCK*b + j is that stream's normal number _BLOCK*i + j.  A pair's
+normals thus depend only on (seed, pair), and its first k steps are the same
+for every n_steps >= k.
+
+Chunks of _CHUNK pairs run on a thread pool with one thread per available
+core and write their paths' terminal x and survival weights into arrays
+shared by all chunks.  A worker draws _SLAB steps of its chunk's normals,
+scales them by sigma sqrt(dt), walks them and draws the next slab, so its
+memory does not grow with n_steps.  No lock is taken: the draws are long
+calls that release the interpreter lock, and a walk step is 9 numpy calls
+over a whole chunk row of 32,768 paths, so two walks trade the interpreter
+lock far less often than on short rows.  The estimate is reduced once at
+the end, its standard error from the pair means, so it is bit-identical for
+a given (seed, n_paths, n_steps) whatever the thread count or chunk size.
+Each worker's buffers (about 2.6 MB) are allocated by the calling thread and
+reused for every chunk: buffers allocated and freed on the worker threads
+stay cached in the allocator's per-thread arenas, and the peak memory then
+depends on which thread ran which chunk.
 """
 from __future__ import annotations
 
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from ..contract import BarrierContract
 from ..errors import AccuracyError, DomainError, check_integers
 from .heatkernel import to_heat_coords
 from .pde import _time_grid
 
-_CHUNK = 4096  # pairs, so 8192 paths
-# pairs per draw of raw Philox words; 256 x 256 steps is 512 KB
-_TILE = 256
-_U64_SCALE = 2.0 ** -53
+_BLOCK = 256  # pairs per seeded stream; fixes the estimate's bits
+_CHUNK = 16384  # pairs per task, so one numpy call covers 32,768 paths
+_SLAB = 16  # steps of normals drawn ahead of the walk: 2 MB per chunk
 # floor of the crossing exponent: exp(e) < 2**-54 for e <= -37.5, so
 # 1 - exp(e) is exactly 1.0 there and the clamp changes no weight
 _E_MIN = -40.0
@@ -61,36 +58,41 @@ _E_MIN = -40.0
 
 @dataclass(frozen=True)
 class McEstimate:
-    """Simulation estimate with its sampling error and knockout diagnostics."""
+    """Simulation estimate with its sampling error and knockout diagnostics.
+
+    ess is the effective sample size of the pair means m_k,
+    (sum m_k)^2 / sum m_k^2, and 0.0 when every pair mean is 0: near 1 when
+    a few pairs carry the whole price."""
 
     price: float
     std_error: float
     n_paths: int
     n_steps: int
     knockout_fraction: float
+    ess: float
 
 
-def _chunk_normals(seed: int, pair_lo: int, z: np.ndarray) -> np.ndarray:
-    """Fill z, a C-contiguous (steps, pairs) array, with the standard normals
-    of pairs [pair_lo, pair_lo + pairs) and return it.
+def _block_streams(seed: int, lo: int, hi: int) -> list:
+    """The normal streams of the blocks that hold pairs [lo, hi)."""
+    return [np.random.Generator(np.random.SFC64(
+                np.random.SeedSequence(seed, spawn_key=(b,))))
+            for b in range(lo // _BLOCK, -(-hi // _BLOCK))]
 
-    Each pair owns ceil(steps/4) whole 4x64-bit counter blocks; uniforms
-    take the top 53 bits, centred, and go through the inverse normal CDF.
-    The raw words are drawn and transposed one tile of _TILE pairs at a
-    time, so the transpose stays in cache.  Row i holds step i of every
-    pair, so a walk over steps reads contiguous rows.
-    """
-    n_steps, n_pairs = z.shape
-    words = (n_steps + 3) // 4 * 4
-    bg = np.random.Philox(key=seed)
-    bg.advance(pair_lo * words // 4)
-    for p0 in range(0, n_pairs, _TILE):
-        p1 = min(p0 + _TILE, n_pairs)
-        raw = bg.random_raw((p1 - p0) * words).reshape(p1 - p0, words)
-        raw >>= np.uint64(11)
-        np.add(raw[:, :n_steps].T, 0.5, out=z[:, p0:p1])
-    np.multiply(z, _U64_SCALE, out=z)
-    ndtri(z, out=z)
+
+def _draw_slab(streams, lo, z, piece):
+    """Fill z, a (rows, m) array, with the streams' next rows of normals for
+    pairs [lo, lo + m) and return it.
+
+    Each block's rows are drawn whole into piece, a C-contiguous
+    (>= rows, _BLOCK) buffer, and the chunk's columns copied out, so every
+    row of a stream is drawn however the pairs are chunked."""
+    rows, m = z.shape
+    first = lo // _BLOCK * _BLOCK
+    for k, stream in enumerate(streams):
+        p0 = first + k * _BLOCK
+        a, b = max(lo, p0), min(lo + m, p0 + _BLOCK)
+        stream.standard_normal(out=piece[:rows])
+        z[:, a - lo:b - lo] = piece[:rows, a - p0:b - p0]
     return z
 
 
@@ -102,35 +104,39 @@ def _pool_size() -> int:
         return os.cpu_count() or 1
 
 
-def _walk_chunk(seed, lo, x, w, drift, sd, var, buf, lock):
+def _walk_chunk(seed, lo, x, w, drift, sd, coef, buf):
     """Walk the antithetic pairs [lo, lo + m) in x = ln(S/h(t)).
 
     ``x`` and ``w`` are (2, m) blocks of start x and survival weight 1, the
     paths walking +z in row 0 and -z in row 1, and are left at their terminal
-    values.  The normals go into the head of ``buf``, a 1-D float array of at
-    least m * len(var), viewed as (steps, pairs).  Runs on worker threads, so
-    it calls only numpy and scipy; the normals are drawn outside ``lock`` and
-    the step loop runs under it."""
-    steps, m = len(var), x.shape[1]
-    z = _chunk_normals(seed, lo, buf[:steps * m].reshape(steps, m))
-    start = np.empty(x.shape)  # -2 x at the step's start
-    expo = np.empty(x.shape)
-    with lock:
-        for i in range(steps):
-            # same roundings as x_next = x + drift + sd*(+-z) and
-            # expo = -2*x*x_next/var written as single expressions
-            np.multiply(-2.0, x, out=start)
-            np.multiply(sd[i], z[i], out=expo[0])
-            np.negative(expo[0], out=expo[1])
-            np.add(x, drift[i], out=x)
-            np.add(x, expo, out=x)
+    values.  ``coef`` is -2 / variance per step.  ``buf`` holds the worker's
+    flat buffers for a slab of normals, one block's piece of it, the other x
+    and the crossing exponent, each at least as long as this chunk needs.
+    Runs on worker threads, so it calls only numpy."""
+    steps, m = len(coef), x.shape[1]
+    slab, piece, x_b, e = buf
+    x_b, e = x_b[:2 * m].reshape(2, m), e[:2 * m].reshape(2, m)
+    streams = _block_streams(seed, lo, lo + m)
+    x_a = x
+    for s0 in range(0, steps, _SLAB):
+        rows = min(_SLAB, steps - s0)
+        z = _draw_slab(streams, lo, slab[:rows * m].reshape(rows, m), piece)
+        for dz, sd_i in zip(z, sd[s0:s0 + rows]):
+            np.multiply(dz, sd_i, out=dz)
+        for i, dz in enumerate(z, s0):
+            np.add(x_a, drift[i], out=x_b)
+            np.add(x_b[0], dz, out=x_b[0])
+            np.subtract(x_b[1], dz, out=x_b[1])
             # exponent >= 0 iff an endpoint is at/below the barrier: p = 1
-            np.multiply(start, x, out=expo)
-            np.divide(expo, var[i], out=expo)
-            np.clip(expo, _E_MIN, 0.0, out=expo)
-            np.exp(expo, out=expo)
-            np.subtract(1.0, expo, out=expo)
-            np.multiply(w, expo, out=w)
+            np.multiply(x_a, x_b, out=e)
+            np.multiply(e, coef[i], out=e)
+            np.clip(e, _E_MIN, 0.0, out=e)
+            np.exp(e, out=e)
+            np.subtract(1.0, e, out=e)
+            np.multiply(w, e, out=w)
+            x_a, x_b = x_b, x_a
+    if x_a is not x:
+        x[...] = x_a
 
 
 def mc_price(S: float, t: float, contract: BarrierContract,
@@ -168,19 +174,21 @@ def mc_price(S: float, t: float, contract: BarrierContract,
     w = np.ones((2, pairs))
     los = range(0, pairs, _CHUNK)
     workers = min(_pool_size(), len(los))
-    normals = np.empty((workers, min(_CHUNK, pairs) * steps))
-    lock = threading.Lock()  # one walk at a time; see the module docstring
+    m = min(_CHUNK, pairs)
+    bufs = [(np.empty(_SLAB * m), np.empty((_SLAB, _BLOCK)), np.empty(2 * m),
+             np.empty(2 * m)) for _ in range(workers)]
+    coef = -2.0 / var
 
     def walk(k):
-        # worker k walks every workers-th chunk with its own normals buffer
+        # worker k walks every workers-th chunk with its own buffers
         for lo in los[k::workers]:
             _walk_chunk(int(seed), lo, x[:, lo:lo + _CHUNK],
-                        w[:, lo:lo + _CHUNK], drift, sd, var, normals[k], lock)
+                        w[:, lo:lo + _CHUNK], drift, sd, coef, bufs[k])
 
     with ThreadPoolExecutor(workers) as pool:
         for future in [pool.submit(walk, k) for k in range(workers)]:
             future.result()
-    del normals
+    del bufs
     # a far spot can overflow the payoffs or their spread; that is reported
     # below as an AccuracyError, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
@@ -194,5 +202,10 @@ def mc_price(S: float, t: float, contract: BarrierContract,
         if not math.isfinite(value):
             raise AccuracyError(f"simulation {name} is {value}: the payoffs "
                                 f"leave the float range")
+    # scaled by the largest pair mean, so the squares cannot overflow
+    peak = float(np.max(np.abs(pair_means)))
+    scaled = pair_means / (peak or 1.0)
+    ess = float(np.sum(scaled) ** 2 / np.sum(scaled * scaled)) if peak else 0.0
     return McEstimate(price=price, std_error=std_error, n_paths=n_paths,
-                      n_steps=steps, knockout_fraction=float(np.mean(1.0 - w)))
+                      n_steps=steps, knockout_fraction=float(np.mean(1.0 - w)),
+                      ess=ess)

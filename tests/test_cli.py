@@ -145,6 +145,7 @@ def test_validate_constant_case(capsys):
     sim = body["parameters"]["simulation"]
     assert 0.0 < sim["knockout_fraction"] < 1.0
     assert sim["n_paths"] == 20000
+    assert 0.0 < sim["ess"] <= 10000  # of 10,000 pair means
 
 
 def test_validate_stdout_is_reproducible(capsys):
@@ -259,8 +260,8 @@ def test_cli_import_leaves_heavy_scipy_subpackages_out():
     # needs these subpackages; the oracles are what loads scipy
     proc = _fresh_python(
         "import sys, movebar.cli, movebar.oracles; print(sorted(m for m in "
-        "('scipy.integrate', 'scipy.interpolate', 'scipy.optimize') "
-        "if m in sys.modules))")
+        "('scipy.integrate', 'scipy.interpolate', 'scipy.optimize', "
+        "'scipy.special') if m in sys.modules))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 

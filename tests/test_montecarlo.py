@@ -1,15 +1,31 @@
 """Simulation oracle: reproducibility, substreams, statistical agreement."""
+import dataclasses
 import math
 import sys
-import threading
-import types
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import movebar as mb
 from movebar import DomainError, mc_price
-from movebar.oracles.montecarlo import _E_MIN, _chunk_normals
+from movebar.oracles.montecarlo import (_BLOCK, _E_MIN, _block_streams,
+                                        _draw_slab)
+
+FIX = Path(__file__).resolve().parents[1] / "fixtures"
+
+
+def _normals(seed, lo, z, slab=None):
+    """Fill z, a (steps, pairs) array, with the normals of pairs
+    [lo, lo + pairs), drawn slab rows at a time (all at once if None)."""
+    steps, m = z.shape
+    slab = slab or steps
+    streams = _block_streams(seed, lo, lo + m)
+    piece = np.empty((slab, _BLOCK))
+    for s0 in range(0, steps, slab):
+        _draw_slab(streams, lo, z[s0:s0 + slab], piece)
+    return z
 
 
 def test_bit_identical_for_same_seed(const_contract):
@@ -19,29 +35,55 @@ def test_bit_identical_for_same_seed(const_contract):
 
 
 def test_path_substreams_align_across_chunks():
-    # pair p's normals depend only on (seed, p, n_steps), not on the batch
-    joint = _chunk_normals(9, 0, np.empty((10, 7))).T
-    tail = _chunk_normals(9, 3, np.empty((10, 4))).T
+    # pair p's normals depend only on (seed, p), not on the batch
+    joint = _normals(9, 0, np.empty((10, 7))).T
+    tail = _normals(9, 3, np.empty((10, 4))).T
     assert np.array_equal(joint[3:], tail)
 
 
+def test_block_streams_follow_the_stream_rule():
+    # step i of pair 256 b + j is normal number 256 i + j of block b's
+    # stream, drawn the same in slabs of any height; pairs 200-899 span
+    # four blocks, the first and last in part
+    whole = _normals(5, 200, np.empty((37, 700)))
+    for slab in (1, 5, 16):
+        assert np.array_equal(_normals(5, 200, np.empty((37, 700)), slab),
+                              whole)
+    for b in range(4):
+        stream = np.random.Generator(np.random.SFC64(
+            np.random.SeedSequence(5, spawn_key=(b,))))
+        rows = stream.standard_normal((37, _BLOCK))
+        lo, hi = max(200, _BLOCK * b), min(900, _BLOCK * (b + 1))
+        assert np.array_equal(whole[:, lo - 200:hi - 200],
+                              rows[:, lo - _BLOCK * b:hi - _BLOCK * b])
+
+
+def test_first_steps_do_not_depend_on_the_step_count():
+    long = _normals(5, 200, np.empty((37, 700)), 16)
+    short = _normals(5, 200, np.empty((10, 700)), 16)
+    assert np.array_equal(long[:10], short)
+
+
 # float.hex of (price, std_error, knockout_fraction) on the two-piece curves
-# with C = 0, recorded with antithetic pairs walking x = ln(S/h(t)).  3000
-# paths leave the last chunk partial and 8194 a one-pair chunk.  The last three
-# shapes have crossing exponents below -745 (exp underflows to 0), in the
-# subnormal band [-745, -708] and exactly at 0 (an endpoint at or below the
-# barrier).  Spot None is one part in 1e4 above h(0).
+# with C = 0, recorded with antithetic pairs walking x = ln(S/h(t)) on the
+# ziggurat normals of one SFC64 stream per block of 256 pairs: step i of pair
+# 256 b + j is normal number 256 i + j of SeedSequence(seed, spawn_key=(b,)).
+# 3000 paths leave the last block and chunk partial and 8194 a one-pair
+# block.  The last three shapes have crossing exponents below -745 (exp
+# underflows to 0), in the subnormal band [-745, -708] and exactly at 0 (an
+# endpoint at or below the barrier).  Spot None is one part in 1e4 above
+# h(0).
 _PINNED = [
     ((100.0, "call", "down_and_out", 3000, 8, 3),
-     ("0x1.0e066015f521ep+3", "0x1.e954e05eb229ep-3", "0x1.355285a837b86p-1")),
+     ("0x1.2464e3baf9255p+3", "0x1.0082463c58fd9p-2", "0x1.34c1810bfe922p-1")),
     ((100.0, "call", "down_and_out", 40_000, 256, 11),
-     ("0x1.1c7ca6cec67b7p+3", "0x1.1ba722f2a3dd8p-4", "0x1.35deaa3fcc7dcp-1")),
+     ("0x1.1f67868724d38p+3", "0x1.1e82dbb4f41abp-4", "0x1.355ded6a1e62fp-1")),
     ((None, "call", "down_and_out", 8194, 256, 5),
-     ("0x1.cd8f2d814cd2fp-8", "0x1.06dd976563a74p-10", "0x1.ffd65bb828794p-1")),
+     ("0x1.044b17c5eb967p-7", "0x1.2a5ce1d554661p-10", "0x1.ffd3306c51f84p-1")),
     ((250.0, "put", "down_and_in", 8194, 64, 17),
-     ("0x1.80df2573a63b7p-10", "0x1.80df2573a63b7p-10", "0x1.ffe001ffe0020p-14")),
+     ("0x0.0p+0", "0x0.0p+0", "0x1.ffe001ffe0020p-64")),
     ((None, "put", "down_and_in", 3000, 8, 3),
-     ("0x1.c2c03a0575fa2p+3", "0x1.61f820508e496p-4", "0x1.ffd9d2a1890d8p-1")),
+     ("0x1.c9db308dc7bd8p+3", "0x1.745e65f5f9c52p-4", "0x1.ffd493d65157cp-1")),
 ]
 
 
@@ -217,52 +259,67 @@ def test_thread_count_does_not_change_the_estimate(const_contract, monkeypatch):
             estimates.append(mc_price(100.0, 0.0, const_contract, n_paths=3000,
                                       n_steps=8, seed=3))
     assert all(est == base for est in estimates)
-
-
-def test_chunk_walks_take_turns(const_contract, monkeypatch):
-    # a stand-in for the walk lock records each walk section; the sections
-    # of different chunks must never overlap, and no worker may draw its
-    # normals while it holds the lock
-    import movebar.oracles.montecarlo as mc_mod
-    events = []
-
-    class RecordingLock:
-        def __init__(self):
-            self._lock = threading.Lock()
-            self.owner = None
-
-        def __enter__(self):
-            self._lock.acquire()
-            self.owner = threading.get_ident()
-            events.append(("start", self.owner))
-
-        def __exit__(self, *exc):
-            events.append(("end", self.owner))
-            self.owner = None
-            self._lock.release()
-
-    lock = RecordingLock()
-    draw = mc_mod._chunk_normals
-
-    def recording_draw(*args):
-        me = threading.get_ident()
-        events.append(("draw", me, lock.owner == me))
-        return draw(*args)
-
-    monkeypatch.setattr(mc_mod, "threading",
-                        types.SimpleNamespace(Lock=lambda: lock))
-    monkeypatch.setattr(mc_mod, "_chunk_normals", recording_draw)
+    # three unlocked walks, switching threads as often as possible
     monkeypatch.setattr(mc_mod, "_pool_size", lambda: 3)
     monkeypatch.setattr(mc_mod, "_CHUNK", 333)
     interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    sys.setswitchinterval(1e-6)
     try:
-        mc_price(100.0, 0.0, const_contract, n_paths=3000, n_steps=8, seed=3)
+        est = mc_price(100.0, 0.0, const_contract, n_paths=3000, n_steps=8,
+                       seed=3)
     finally:
         sys.setswitchinterval(interval)
-    sections = [e for e in events if e[0] != "draw"]
-    # 1500 pairs make five chunks of at most 333: five sections in turn
-    assert [e[0] for e in sections] == ["start", "end"] * 5
-    assert all(a[1] == b[1] for a, b in zip(sections[::2], sections[1::2]))
-    draws = [e for e in events if e[0] == "draw"]
-    assert len(draws) == 5 and not any(held for _, _, held in draws)
+    assert est == base
+
+
+def test_memory_does_not_grow_with_the_step_count(const_contract):
+    # each worker holds one slab of normals, not its chunk's whole walk
+    peaks = []
+    for n_steps in (64, 256, 1024):
+        tracemalloc.start()
+        try:
+            mc_price(100.0, 0.0, const_contract, n_paths=131_072,
+                     n_steps=n_steps, seed=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) - min(peaks) <= 2 ** 20
+
+
+def test_effective_sample_size_flags_a_few_carrying_pairs(td_contract):
+    # the knock-in call far above the barrier: one pair carries the price
+    con = td_contract(0.0, style="down_and_in")
+    est = mc_price(250.0, 0.0, con, n_paths=131_072, n_steps=256, seed=2003)
+    assert est.ess < 2.0
+
+
+def test_effective_sample_size_of_the_triangle_estimates():
+    # the four simulation calls of the benchmark's triangle workload
+    flat = mb.CurveSet.constant(0.05, 0.0, 0.2)
+    two = mb.load_curves(FIX / "curves_two_piece.json")
+    seeds = np.random.SeedSequence(0).generate_state(4, np.uint64)
+    for (curves, C), seed in zip([(flat, -1.25), (two, -1.0), (two, 0.0),
+                                  (two, 1.0)], seeds):
+        bar = mb.barrier_from_terminal(90.0, C, curves, 1.0)
+        con = mb.BarrierContract(strike=100.0, expiry=1.0, side="call",
+                                 style="down_and_out", barrier=bar)
+        est = mc_price(100.0, 0.0, con, n_paths=131_072, n_steps=256,
+                       seed=int(seed))
+        assert 20_000 < est.ess <= 65_536
+
+
+def test_effective_sample_size_survives_payoffs_whose_squares_overflow(
+        const_contract):
+    # pair means near 1e154: their squares, summed, pass the float range
+    est = mc_price(1e154, 0.0, const_contract, n_paths=1000, n_steps=4,
+                   seed=1)
+    assert 490.0 < est.ess <= 500.0
+
+
+def test_effective_sample_size_is_zero_without_payoffs():
+    # every pair mean of the put far above its strike is 0
+    flat = mb.load_curves(FIX / "curves_flat.json")
+    con = dataclasses.replace(mb.load_contract(FIX / "contract_levels_put.json",
+                                               flat), style="down_and_out")
+    est = mc_price(300.0, 0.0, con, n_paths=100_000, n_steps=64, seed=0)
+    assert (est.price, est.std_error, est.ess) == (0.0, 0.0, 0.0)
