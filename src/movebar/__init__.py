@@ -13,7 +13,7 @@ from .vanilla import VanillaQuote, norm_cdf, vanilla_call, vanilla_put
 from .barrier import (PriceBreakdown, constant_case_parity_gap, d_values,
                       down_and_in_call, down_and_in_put, down_and_out_call,
                       down_and_out_put, forward_barrier_value, price_contract)
-from .errors import AccuracyError, DomainError, LoadError, RegimeError
+from .errors import AccuracyError, DomainError, LoadError
 
 __version__ = "0.1.0"
 
@@ -27,7 +27,7 @@ __all__ = [
     "price_contract", "constant_case_parity_gap",
     "HeatCoords", "to_heat_coords", "heat_kernel_price",
     "PdeGrid", "pde_price", "McEstimate", "mc_price",
-    "DomainError", "RegimeError", "LoadError", "AccuracyError",
+    "DomainError", "LoadError", "AccuracyError",
     "__version__",
 ]
 

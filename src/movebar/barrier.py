@@ -12,7 +12,9 @@ so at S = h(t) both terms coincide bit for bit and knockout prices vanish
 exactly.
 
 The knockout put is the call leg minus the forward leg, subtracted term by
-term; the knock-in styles come from in + out = vanilla.
+term; the knock-in styles come from in + out = vanilla.  Below K = h_T a
+surviving path ends at S_T > h(T) = h_T > K, so the call pays S_T - K: its
+leg is the forward leg, and the put's legs cancel to exactly 0.
 """
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ from typing import Optional
 
 from .contract import BarrierContract, barrier_from_terminal
 from .curves import CurveSet
-from .errors import DomainError, RegimeError
+from .errors import DomainError
 from .vanilla import norm_cdf, quote_from_bars, vanilla_call, vanilla_put
 
 
@@ -33,7 +35,8 @@ class PriceBreakdown:
     """Price plus every intermediate the formulas produce.
 
     For out-styles price = vanilla_term - image_term; for in-styles
-    price = image_term.  d and power fields are None on degenerate branches
+    price = image_term.  Below K = h_T the out-styles' vanilla_term is the
+    forward leg.  d and power fields are None on degenerate branches
     (knocked out below the barrier, knocked in, expired).
     status is one of "live", "knocked_out", "knocked_in", "expired".
     """
@@ -54,13 +57,6 @@ class PriceBreakdown:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-def _require_regime(contract: BarrierContract):
-    if not contract.in_closed_form_regime:
-        raise RegimeError(
-            f"strike {contract.strike} below terminal barrier {contract.barrier.h_T}; "
-            "no closed form here, use the heat-kernel or PDE pricer")
 
 
 def _power_factor(x: float, C: float) -> float:
@@ -112,9 +108,14 @@ def _forward_leg(spot: float, K: float, h_T: float, rbar: float, qbar: float,
     return value, db1, db1p
 
 
-# the put is the call leg minus the forward leg, term by term
-_LEGS = {"call": (_call_leg,), "forward": (_forward_leg,),
-         "put": (_call_leg, _forward_leg)}
+def _legs(kind: str, contract: BarrierContract) -> tuple:
+    """The legs of kind "call", "put" or "forward"; the put is the call leg
+    minus the forward leg, term by term.  Below K = h_T the call leg is the
+    forward leg."""
+    call = (_call_leg if contract.strike >= contract.barrier.h_T
+            else _forward_leg)
+    return {"call": (call,), "forward": (_forward_leg,),
+            "put": (call, _forward_leg)}[kind]
 
 
 def _leg_pair(leg, S: float, lev: float, contract: BarrierContract, bars):
@@ -136,8 +137,6 @@ def _closed_form(S: float, t: float, contract: BarrierContract, kind: str,
     """
     # t first in min(): a NaN time reaches the check
     lev, x, bars = contract.locate(S, min(t, contract.expiry))
-    if kind != "forward":
-        _require_regime(contract)
     if t >= contract.expiry:
         return _expired(S, contract, kind, knock_in)
     barrier = contract.barrier
@@ -152,7 +151,8 @@ def _closed_form(S: float, t: float, contract: BarrierContract, kind: str,
         price = van = img = 0.0
         status = "knocked_out"
     else:
-        pairs = [_leg_pair(leg, S, lev, contract, bars) for leg in _LEGS[kind]]
+        legs = _legs(kind, contract)
+        pairs = [_leg_pair(leg, S, lev, contract, bars) for leg in legs]
         power = _power_factor(x, barrier.C)
         images = [power * at_image[0] for _, at_image in pairs]
         if not all(map(math.isfinite, images)):
@@ -166,10 +166,10 @@ def _closed_form(S: float, t: float, contract: BarrierContract, kind: str,
         status = "knocked_out" if S == lev and not knock_in else "live"
         if not knock_in:
             price = out
-        elif kind == "call":
+        elif legs == (_call_leg,):
             price = img  # vanilla - out: the call's vanilla leg cancels
         else:
-            van = quote_from_bars(S, contract.strike, *bars, "put").price
+            van = quote_from_bars(S, contract.strike, *bars, kind).price
             price = img = van - out
     return PriceBreakdown(price=price, vanilla_term=van, image_term=img,
                           d1=d[0], d1_prime=d[1], d2=d[2], d2_prime=d[3],
@@ -178,7 +178,8 @@ def _closed_form(S: float, t: float, contract: BarrierContract, kind: str,
 
 
 def d_values(S: float, t: float, contract: BarrierContract):
-    """The four d arguments (d1, d1', d2, d2') of the knockout call.
+    """The four d arguments (d1, d1', d2, d2') of the knockout call, whose
+    leg is the forward leg below K = h_T.
 
     d2 is d1 evaluated at the image spot h(t)^2/S; primes subtract the total
     volatility sqrt(sigma2bar).  Computed through the same leg evaluation
@@ -188,12 +189,14 @@ def d_values(S: float, t: float, contract: BarrierContract):
         raise DomainError(f"d values need t < T (sigma2bar > 0), "
                           f"got t={t}, T={contract.expiry}")
     lev, _, bars = contract.locate(S, t)
-    (_, d1, d1p), (_, d2, d2p) = _leg_pair(_call_leg, S, lev, contract, bars)
+    leg, = _legs("call", contract)
+    (_, d1, d1p), (_, d2, d2p) = _leg_pair(leg, S, lev, contract, bars)
     return d1, d1p, d2, d2p
 
 
 def down_and_out_call(S: float, t: float, contract: BarrierContract) -> PriceBreakdown:
-    """Knockout call: vanilla minus power-scaled vanilla at the image spot.
+    """Knockout call: vanilla minus power-scaled vanilla at the image spot,
+    and the knockout forward when K < h_T.
 
     Returns 0 with a knocked_out status for S <= h(t); the value at
     S = h(t) is exactly zero because both terms coincide there.

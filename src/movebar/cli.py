@@ -19,8 +19,7 @@ from .barrier import (constant_case_parity_gap, down_and_in_call,
                       forward_barrier_value, price_contract)
 from .contract import load_contract
 from .curves import load_curves
-from .errors import (AccuracyError, DomainError, LoadError, RegimeError,
-                     check_tolerance)
+from .errors import AccuracyError, DomainError, LoadError, check_tolerance
 from .vanilla import vanilla_call, vanilla_put
 
 TOL_PARITY = 1e-12
@@ -155,13 +154,7 @@ def cmd_validate(args) -> int:
               "tol_pde": args.tol_pde, "mc_sigmas": args.mc_sigmas,
               "style_validated": "down_and_out"}
 
-    closed = None
-    if out_contract.in_closed_form_regime:
-        closed = price_contract(S, t, out_contract).price
-    else:
-        print("[validate] strike below terminal barrier: no closed form, "
-              "oracles cross-compare", file=sys.stderr)
-
+    closed = price_contract(S, t, out_contract).price
     # every flag is checked before the lattice solve, the costliest step
     heat = heat_kernel_price(S, t, out_contract, tol=args.tol_heat / 10.0)
     grid = PdeGrid.for_contract(S, t, out_contract,
@@ -170,26 +163,18 @@ def cmd_validate(args) -> int:
                    n_steps=args.mc_steps, seed=args.seed)
     pde = pde_price(S, t, out_contract, grid=grid)
 
-    if closed is not None:
-        results.append(_row("quadrature_vs_closed", heat, reference=closed,
-                            tolerance=args.tol_heat))
-        reference, ref_name = closed, "closed"
-    else:
-        reference, ref_name = heat, "quadrature"
-    scale = max(abs(reference), 1e-12)
-    results.append(_row(f"lattice_vs_{ref_name}_rel",
-                        abs(pde - reference) / scale,
+    results.append(_row("quadrature_vs_closed", heat, reference=closed,
+                        tolerance=args.tol_heat))
+    scale = max(abs(closed), 1e-12)
+    results.append(_row("lattice_vs_closed_rel", abs(pde - closed) / scale,
                         reference=0.0, tolerance=args.tol_pde))
-    results.append(_row(f"simulation_vs_{ref_name}", est.price,
-                        reference=reference,
+    results.append(_row("simulation_vs_closed", est.price, reference=closed,
                         tolerance=args.mc_sigmas * est.std_error))
 
     params["simulation"] = {"std_error": est.std_error,
                             "knockout_fraction": est.knockout_fraction,
                             "n_paths": est.n_paths, "n_steps": est.n_steps,
                             "ess": est.ess}
-    if closed is None:
-        params["closed_form"] = "skipped: strike below terminal barrier"
     return _report("validate", inputs, params, results, args.csv, started)
 
 
@@ -265,7 +250,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (LoadError, DomainError, RegimeError) as exc:
+    except (LoadError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AccuracyError as exc:

@@ -103,11 +103,6 @@ class BarrierContract:
     def curves(self) -> CurveSet:
         return self.barrier.curves
 
-    @property
-    def in_closed_form_regime(self) -> bool:
-        """True when the strike is at or above the terminal barrier level."""
-        return self.strike >= self.barrier.h_T
-
     def locate(self, S: float, t: float) -> tuple:
         """Barrier level h(t), x = ln(S/h(t)) and the curve integrals
         (rbar, qbar, sigma2bar) over [t, T] at the valuation point.

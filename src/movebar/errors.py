@@ -7,11 +7,6 @@ class DomainError(ValueError):
     """Input outside the mathematical domain of an operation."""
 
 
-class RegimeError(ValueError):
-    """Contract outside the closed-form regime (strike below the terminal
-    barrier level).  The quadrature and lattice pricers still apply."""
-
-
 class LoadError(ValueError):
     """Malformed or inconsistent input file."""
 

@@ -60,8 +60,8 @@ def _draw_case(rng, constant=None, side="call", style="down_and_out",
                pieces=2):
     """One random admissible contract plus an evaluation time.
 
-    Ranges keep every draw well inside the regime the closed forms cover:
-    strike at or above the terminal barrier, moderate decay constants.
+    Ranges keep the strike above the terminal barrier and the decay
+    constants moderate; strikes below it are drawn where a test needs them.
     Curves are flat or have `pieces` pieces switching inside (t, T).
     """
     t = float(rng.uniform(0.0, 0.5))

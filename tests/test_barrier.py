@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import movebar as mb
-from movebar import DomainError, RegimeError
+from movebar import DomainError
 
 
 S0, K0, T0 = 100.0, 100.0, 1.0
@@ -220,18 +220,35 @@ def test_expired_settlement(a_contracts):
                                     a_contracts("call", "down_and_out")).price == 20.0
 
 
-def test_strike_below_terminal_barrier_rejected(const_curves):
-    bar = mb.barrier_from_terminal(90.0, 0.5, const_curves, T0)
-    for side, style in [("call", "down_and_out"), ("call", "down_and_in"),
-                        ("put", "down_and_out"), ("put", "down_and_in")]:
+def test_strike_below_terminal_barrier_priced():
+    # K 80 < h_T 90: a surviving path ends above h_T > K, so the knockout
+    # call is the knockout forward and the knockout put is worth nothing.
+    # The call anchor is the quadrature's, frozen from the 40-digit
+    # evaluation (test_heatkernel.test_low_strike_anchor)
+    curves = mb.CurveSet.constant(0.05, 0.02, 0.2)
+    bar = mb.barrier_from_terminal(90.0, 0.5, curves, T0)
+    def price(side, style):
         con = mb.BarrierContract(strike=80.0, expiry=T0, side=side,
                                  style=style, barrier=bar)
-        with pytest.raises(RegimeError):
-            mb.price_contract(S0, 0.0, con)
-    # the knockout forward has no payoff kink and keeps working
-    con = mb.BarrierContract(strike=80.0, expiry=T0, side="call",
-                             style="down_and_out", barrier=bar)
-    assert math.isfinite(mb.forward_barrier_value(S0, 0.0, con).price)
+        return mb.price_contract(S0, 0.0, con).price
+    out_call = price("call", "down_and_out")
+    assert out_call == pytest.approx(17.584975559863764, rel=2e-13)
+    van_call = mb.vanilla_call(S0, 0.0, 80.0, T0, curves).price
+    assert price("call", "down_and_in") == pytest.approx(
+        van_call - 17.584975559863764, rel=2e-13)
+    assert price("put", "down_and_out") == 0.0
+    assert price("put", "down_and_in") == mb.vanilla_put(S0, 0.0, 80.0, T0,
+                                                          curves).price
+
+
+@pytest.mark.parametrize("strike", [80.0, 90.0, 100.0])
+@pytest.mark.parametrize("side", ["call", "put"])
+def test_breakdown_carries_d_values_at_every_strike(td_contract, side, strike):
+    # below h_T = 90 the call leg is the forward leg, for both
+    con = td_contract(0.5, side=side, strike=strike)
+    out = mb.price_contract(S0, 0.25, con)
+    assert (out.d1, out.d1_prime, out.d2, out.d2_prime) == mb.d_values(
+        S0, 0.25, con)
 
 
 def test_input_validation(a_contracts):

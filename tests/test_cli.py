@@ -20,6 +20,9 @@ TWO_PIECE = str(FIX / "curves_two_piece.json")
 KNOCKOUT_CALL = str(FIX / "contract_knockout_call.json")
 LOW_STRIKE = str(FIX / "contract_low_strike.json")
 LEVELS_PUT = str(FIX / "contract_levels_put.json")
+# the quadrature's price of LOW_STRIKE (K 80 < h_T 90) on FLAT_DIV, frozen
+# from the 40-digit evaluation (test_heatkernel.test_low_strike_anchor)
+LOW_STRIKE_ANCHOR = 17.584975559863764
 
 
 def run(capsys, *argv):
@@ -75,12 +78,19 @@ def test_price_levels_form_contract(capsys):
     assert body["C"] == pytest.approx(-0.5, abs=1e-12)
 
 
-def test_price_outside_closed_form_regime_is_an_input_error(capsys):
-    rc, _, err = run(capsys, "price", "--curves", FLAT_DIV,
+def test_price_low_strike_matches_the_quadrature_anchor(capsys):
+    rc, out, _ = run(capsys, "price", "--curves", FLAT_DIV,
                      "--contract", LOW_STRIKE,
                      "--spot", "100", "--time", "0")
-    assert rc == 2
-    assert "error:" in err
+    assert rc == 0
+    breakdown = json.loads(out)["breakdown"]
+    assert breakdown["price"] == pytest.approx(LOW_STRIKE_ANCHOR, rel=2e-13)
+    assert breakdown["status"] == "live"
+    rc, out, _ = run(capsys, "parity", "--curves", FLAT_DIV,
+                     "--contract", LOW_STRIKE,
+                     "--spot", "100", "--time", "0")
+    assert rc == 0
+    assert json.loads(out)["passed"] is True
 
 
 def test_parity_flat_curves(capsys):
@@ -182,16 +192,18 @@ def test_validate_on_the_barrier_prices_every_oracle_at_zero(capsys):
 
 
 def test_validate_low_strike_cross_checks_oracles(capsys):
-    rc, out, err = run(capsys, "validate", "--curves", FLAT_DIV,
-                       "--contract", LOW_STRIKE,
-                       "--spot", "100", "--time", "0", *VALIDATE_FAST)
+    rc, out, _ = run(capsys, "validate", "--curves", FLAT_DIV,
+                     "--contract", LOW_STRIKE,
+                     "--spot", "100", "--time", "0", *VALIDATE_FAST)
     assert rc == 0
     body = json.loads(out)
     names = [r["name"] for r in body["results"]]
-    assert names == ["lattice_vs_quadrature_rel", "simulation_vs_quadrature"]
+    assert names == ["quadrature_vs_closed", "lattice_vs_closed_rel",
+                     "simulation_vs_closed"]
     assert all(r["passed"] for r in body["results"])
-    assert body["parameters"]["closed_form"].startswith("skipped")
-    assert "no closed form" in err
+    assert body["results"][0]["reference"] == pytest.approx(
+        LOW_STRIKE_ANCHOR, rel=2e-13)
+    assert "closed_form" not in body["parameters"]
 
 
 def test_validate_bad_heat_tolerance_is_an_input_error(capsys):

@@ -187,14 +187,19 @@ def test_contract_validation(const_curves):
             mb.BarrierContract(**kwargs)
 
 
-def test_closed_form_regime_boundary(const_curves):
+def test_every_strike_prices_in_closed_form(const_curves):
+    # at K = h_T the knockout call and the knockout forward agree bit for
+    # bit, and below it the call is the forward, so the put is worth
+    # nothing there; above h_T it is worth something
     bar = mb.barrier_from_terminal(90.0, 0.0, const_curves, 1.0)
-    def con(K):
-        return mb.BarrierContract(strike=K, expiry=1.0, side="call",
+    def con(K, side="call"):
+        return mb.BarrierContract(strike=K, expiry=1.0, side=side,
                                   style="down_and_out", barrier=bar)
-    assert con(100.0).in_closed_form_regime
-    assert con(90.0).in_closed_form_regime
-    assert not con(89.999).in_closed_form_regime
+    assert mb.down_and_out_put(100.0, 0.0, con(100.0, "put")).price > 0.0
+    for K in (90.0, 89.999):
+        assert (mb.down_and_out_call(100.0, 0.0, con(K))
+                == mb.forward_barrier_value(100.0, 0.0, con(K)))
+        assert mb.down_and_out_put(100.0, 0.0, con(K, "put")).price == 0.0
 
 
 def test_contract_from_dict_both_barrier_forms(td_curves):

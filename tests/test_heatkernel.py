@@ -1,5 +1,6 @@
 """Quadrature oracle: transformed coordinates and agreement with closed forms."""
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ import pytest
 import movebar as mb
 from movebar import AccuracyError, DomainError, heat_kernel_price, to_heat_coords
 from movebar.oracles.heatkernel import _MAX_PANELS, _adaptive_gauss
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
 
 def test_coordinates_anchor(const_contract):
@@ -105,8 +108,8 @@ def test_worthless_knockin_with_a_large_vanilla_meets_the_tolerance():
 
 
 def test_low_strike_anchor():
-    # strike below the terminal barrier: no closed form, quadrature anchor
-    # frozen from the 40-digit evaluation
+    # strike below the terminal barrier, where the knockout call is the
+    # knockout forward: quadrature anchor frozen from the 40-digit evaluation
     curves = mb.CurveSet.constant(0.05, 0.02, 0.2)
     bar = mb.barrier_from_terminal(90.0, 0.5, curves, 1.0)
     con = mb.BarrierContract(strike=80.0, expiry=1.0, side="call",
@@ -114,6 +117,9 @@ def test_low_strike_anchor():
     assert bar.level(0.0) == pytest.approx(85.61064820506426, rel=1e-14)
     got = heat_kernel_price(100.0, 0.0, con, tol=1e-9)
     assert got == pytest.approx(17.584975559863764, abs=1e-9)
+    closed = mb.down_and_out_call(100.0, 0.0, con)
+    assert closed.price == pytest.approx(17.584975559863764, rel=2e-13)
+    assert closed == mb.forward_barrier_value(100.0, 0.0, con)
 
 
 def test_low_strike_put_has_no_value():
@@ -123,6 +129,30 @@ def test_low_strike_put_has_no_value():
     con = mb.BarrierContract(strike=80.0, expiry=1.0, side="put",
                              style="down_and_out", barrier=bar)
     assert heat_kernel_price(100.0, 0.0, con) == 0.0
+    # the closed form's legs, forward minus forward, cancel term by term
+    closed = mb.down_and_out_put(100.0, 0.0, con)
+    assert (closed.price, closed.vanilla_term, closed.image_term) == (
+        0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("seed, curves_file", [
+    (1, "curves_flat.json"), (2, "curves_flat_div.json"),
+    (3, "curves_two_piece.json")])
+@pytest.mark.parametrize("style", ["down_and_out", "down_and_in"])
+@pytest.mark.parametrize("side", ["call", "put"])
+def test_low_strikes_match_the_quadrature(seed, curves_file, side, style):
+    # K in [40, 90) below h_T 90, C in [-3, 3], S from h(0) to 2.5 h_T
+    curves = mb.load_curves(str(FIXTURES / curves_file))
+    rng = np.random.default_rng([1900, seed])
+    for _ in range(4):
+        bar = mb.barrier_from_terminal(90.0, float(rng.uniform(-3.0, 3.0)),
+                                       curves, 1.0)
+        con = mb.BarrierContract(strike=float(rng.uniform(40.0, 90.0)),
+                                 expiry=1.0, side=side, style=style,
+                                 barrier=bar)
+        S = float(rng.uniform(bar.level(0.0), 225.0))
+        closed = mb.price_contract(S, 0.0, con).price
+        assert abs(heat_kernel_price(S, 0.0, con, tol=1e-9) - closed) <= 1e-9
 
 
 def _flat_contract(r, q, sigma, C, side="call", style="down_and_out"):

@@ -2,9 +2,12 @@
 
 Curves have 1-12 pieces switching inside (t, T); K in [50, 150],
 h_T = K·[0.75, 0.98], C in [-1.5, 1.5] and S = h(t)·e^[0, 1], the ranges of
-the benchmark's ``book`` workload.  Derandomized, so every run checks the same
-examples.
+the benchmark's ``book`` workload.  Half the examples draw h_T = K·[0.75, 1.25]
+instead, so the identities also hold below K = h_T, where the knockouts are
+the knockout forward and exactly 0.  Derandomized, so every run checks the
+same examples.
 """
+import dataclasses
 import math
 from itertools import accumulate
 
@@ -40,13 +43,14 @@ def _curves(draw, t, T):
 
 
 @st.composite
-def book_cases(draw):
-    """(call, put, t, level): down-and-out contracts on one barrier."""
+def book_cases(draw, barrier_over_strike=(0.75, 0.98)):
+    """(call, put, t, level): down-and-out contracts on one barrier, with
+    h_T = K times a draw from barrier_over_strike."""
     t = draw(_floats(0.0, 0.5))
     T = t + draw(_floats(0.5, 2.0))
     curves = draw(_curves(t, T))
     K = draw(_floats(50.0, 150.0))
-    h_T = K * draw(_floats(0.75, 0.98))
+    h_T = K * draw(_floats(*barrier_over_strike))
     bar = mb.barrier_from_terminal(h_T, draw(_floats(-1.5, 1.5)), curves, T)
     call, put = (mb.BarrierContract(strike=K, expiry=T, side=side,
                                     style="down_and_out", barrier=bar)
@@ -54,11 +58,14 @@ def book_cases(draw):
     return call, put, t, bar.level(t)
 
 
+every_strike_cases = st.one_of(book_cases(), book_cases((0.75, 1.25)))
+# h_T at least 1% above K, so that rounding cannot make K = h_T
+low_strike_cases = book_cases((1.01, 1.25))
 spot_factors = _floats(0.0, 1.0).map(math.exp)
 
 
 @PROPERTY
-@given(book_cases(), spot_factors)
+@given(every_strike_cases, spot_factors)
 def test_in_plus_out_is_vanilla(case, factor):
     call, put, t, level = case
     S = level * factor
@@ -71,7 +78,7 @@ def test_in_plus_out_is_vanilla(case, factor):
 
 
 @PROPERTY
-@given(book_cases(), spot_factors)
+@given(every_strike_cases, spot_factors)
 def test_put_plus_forward_is_call(case, factor):
     call, put, t, level = case
     S = level * factor
@@ -82,8 +89,32 @@ def test_put_plus_forward_is_call(case, factor):
 
 
 @PROPERTY
-@given(book_cases())
+@given(every_strike_cases)
 def test_knockout_is_zero_on_the_barrier(case):
     call, put, t, level = case
     assert mb.down_and_out_call(level, t, call).price == 0.0
     assert mb.down_and_out_put(level, t, put).price == 0.0
+
+
+@PROPERTY
+@given(low_strike_cases, spot_factors)
+def test_low_strike_knockouts_are_the_forward_and_zero(case, factor):
+    call, put, t, level = case
+    S = level * factor
+    assert (mb.down_and_out_call(S, t, call)
+            == mb.forward_barrier_value(S, t, call))
+    assert mb.down_and_out_put(S, t, put).price == 0.0
+    in_put = dataclasses.replace(put, style="down_and_in")
+    assert (mb.down_and_in_put(S, t, in_put).price
+            == mb.vanilla_put(S, t, put.strike, put.expiry, put.curves).price)
+
+
+@PROPERTY
+@given(low_strike_cases, _floats(-1.0, 1.0).map(math.exp))
+def test_low_strike_expiry_settles_above_the_barrier_only(case, factor):
+    call, put, _, _ = case
+    K, T, h_T = call.strike, call.expiry, call.barrier.h_T
+    S = h_T * factor
+    alive = S > h_T
+    assert mb.down_and_out_call(S, T, call).price == (S - K if alive else 0.0)
+    assert mb.down_and_out_put(S, T, put).price == 0.0
