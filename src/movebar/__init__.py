@@ -3,8 +3,8 @@
 Closed-form prices for down-and-out / down-and-in calls and puts whose
 barrier belongs to the class h(t) = h_T exp(-integral of r - q + C sigma^2),
 plus three independent numerical pricers (quadrature, lattice, simulation)
-for validation.  The pricers need numpy and scipy and are imported on first
-use of one of their names, so the closed forms start without either.
+for validation.  The pricers need numpy and are imported on first use of
+one of their names, so the closed forms start without it.
 """
 from .curves import SIGMA_MIN, CurveSet, TermStructure, load_curves
 from .contract import (BarrierContract, MovingBarrier, barrier_from_terminal,

@@ -142,7 +142,7 @@ def cmd_validate(args) -> int:
     # --tol-heat is checked by the quadrature pricer
     check_tolerance("--tol-pde", args.tol_pde)
     check_tolerance("--mc-sigmas", args.mc_sigmas)
-    # numpy and scipy load here, so the other commands start without them
+    # numpy loads here, so the other commands start without it
     from .oracles import PdeGrid, heat_kernel_price, mc_price, pde_price
     curves, contract, inputs = _load(args)
     S, t = args.spot, args.time

@@ -19,20 +19,24 @@ pair _BLOCK*b + j is that stream's normal number _BLOCK*i + j.  A pair's
 normals thus depend only on (seed, pair), and its first k steps are the same
 for every n_steps >= k.
 
-Chunks of _CHUNK pairs run on a thread pool with one thread per available
-core and write their paths' terminal x and survival weights into arrays
-shared by all chunks.  A worker draws _SLAB steps of its chunk's normals,
-scales them by sigma sqrt(dt), walks them and draws the next slab, so its
-memory does not grow with n_steps.  No lock is taken: the draws are long
-calls that release the interpreter lock, and a walk step is 9 numpy calls
-over a whole chunk row of 32,768 paths, so two walks trade the interpreter
-lock far less often than on short rows.  The estimate is reduced once at
-the end, its standard error from the pair means, so it is bit-identical for
-a given (seed, n_paths, n_steps) whatever the thread count or chunk size.
-Each worker's buffers (about 2.6 MB) are allocated by the calling thread and
-reused for every chunk: buffers allocated and freed on the worker threads
-stay cached in the allocator's per-thread arenas, and the peak memory then
-depends on which thread ran which chunk.
+The pairs are padded to whole blocks, and chunks of _CHUNK pairs (whole
+blocks too) run on a thread pool with one thread per available core.  They
+write their paths' terminal x and survival weights into arrays shared by
+all chunks, viewed as (2, blocks, _BLOCK); the padding is dropped before
+the reduction.  A worker draws _SLAB steps of its chunk's normals into a
+block-major (blocks, steps, _BLOCK) slab, each block's stream filling its
+own part in place, scales them by sigma sqrt(dt) in one multiply, walks
+them and draws the next slab, so its memory does not grow with n_steps.  No
+lock is taken: the draws are long calls that release the interpreter lock,
+and a walk step is 9 numpy calls over a whole chunk row of 32,768 paths, so
+two walks trade the interpreter lock far less often than on short rows.
+The estimate is reduced once at the end, its standard error from the pair
+means, so it is bit-identical for a given (seed, n_paths, n_steps) whatever
+the thread count or chunk size.  Each worker's buffers (about 2.5 MB: the
+2 MB slab, the other x and the crossing exponent) are allocated by the
+calling thread and reused for every chunk: buffers allocated and freed on
+the worker threads stay cached in the allocator's per-thread arenas, and
+the peak memory then depends on which thread ran which chunk.
 """
 from __future__ import annotations
 
@@ -49,7 +53,7 @@ from .heatkernel import to_heat_coords
 from .pde import _time_grid
 
 _BLOCK = 256  # pairs per seeded stream; fixes the estimate's bits
-_CHUNK = 16384  # pairs per task, so one numpy call covers 32,768 paths
+_CHUNK = 16384  # pairs per task, whole blocks: a numpy call covers 32,768 paths
 _SLAB = 16  # steps of normals drawn ahead of the walk: 2 MB per chunk
 # floor of the crossing exponent: exp(e) < 2**-54 for e <= -37.5, so
 # 1 - exp(e) is exactly 1.0 there and the clamp changes no weight
@@ -79,20 +83,11 @@ def _block_streams(seed: int, lo: int, hi: int) -> list:
             for b in range(lo // _BLOCK, -(-hi // _BLOCK))]
 
 
-def _draw_slab(streams, lo, z, piece):
-    """Fill z, a (rows, m) array, with the streams' next rows of normals for
-    pairs [lo, lo + m) and return it.
-
-    Each block's rows are drawn whole into piece, a C-contiguous
-    (>= rows, _BLOCK) buffer, and the chunk's columns copied out, so every
-    row of a stream is drawn however the pairs are chunked."""
-    rows, m = z.shape
-    first = lo // _BLOCK * _BLOCK
-    for k, stream in enumerate(streams):
-        p0 = first + k * _BLOCK
-        a, b = max(lo, p0), min(lo + m, p0 + _BLOCK)
-        stream.standard_normal(out=piece[:rows])
-        z[:, a - lo:b - lo] = piece[:rows, a - p0:b - p0]
+def _draw_slab(streams, z):
+    """Fill z, a (blocks, rows, _BLOCK) array, with the streams' next rows of
+    normals, block k's in z[k], and return it."""
+    for stream, piece in zip(streams, z):
+        stream.standard_normal(out=piece)
     return z
 
 
@@ -105,25 +100,28 @@ def _pool_size() -> int:
 
 
 def _walk_chunk(seed, lo, x, w, drift, sd, coef, buf):
-    """Walk the antithetic pairs [lo, lo + m) in x = ln(S/h(t)).
+    """Walk the antithetic pairs [lo, lo + m) in x = ln(S/h(t)), m a whole
+    number of blocks.
 
     ``x`` and ``w`` are (2, m) blocks of start x and survival weight 1, the
     paths walking +z in row 0 and -z in row 1, and are left at their terminal
     values.  ``coef`` is -2 / variance per step.  ``buf`` holds the worker's
-    flat buffers for a slab of normals, one block's piece of it, the other x
-    and the crossing exponent, each at least as long as this chunk needs.
-    Runs on worker threads, so it calls only numpy."""
+    flat buffers for a slab of normals, the other x and the crossing
+    exponent, each at least as long as this chunk needs.  Runs on worker
+    threads, so it calls only numpy."""
     steps, m = len(coef), x.shape[1]
-    slab, piece, x_b, e = buf
-    x_b, e = x_b[:2 * m].reshape(2, m), e[:2 * m].reshape(2, m)
+    blocks = m // _BLOCK
+    slab, x_b, e = buf
+    x_a = x = x.reshape(2, blocks, _BLOCK)
+    w = w.reshape(2, blocks, _BLOCK)
+    x_b, e = x_b[:2 * m].reshape(x.shape), e[:2 * m].reshape(x.shape)
     streams = _block_streams(seed, lo, lo + m)
-    x_a = x
     for s0 in range(0, steps, _SLAB):
         rows = min(_SLAB, steps - s0)
-        z = _draw_slab(streams, lo, slab[:rows * m].reshape(rows, m), piece)
-        for dz, sd_i in zip(z, sd[s0:s0 + rows]):
-            np.multiply(dz, sd_i, out=dz)
-        for i, dz in enumerate(z, s0):
+        z = _draw_slab(streams, slab[:blocks * rows * _BLOCK].reshape(
+            blocks, rows, _BLOCK))
+        np.multiply(z, sd[s0:s0 + rows, None], out=z)
+        for i, dz in enumerate(z.swapaxes(0, 1), s0):
             np.add(x_a, drift[i], out=x_b)
             np.add(x_b[0], dz, out=x_b[0])
             np.subtract(x_b[1], dz, out=x_b[1])
@@ -170,13 +168,16 @@ def mc_price(S: float, t: float, contract: BarrierContract,
     disc = math.exp(-co.rbar)
 
     pairs = n_paths // 2
-    x = np.full((2, pairs), co.x)  # column k is pair k: row 0 walks +z, row 1 -z
-    w = np.ones((2, pairs))
-    los = range(0, pairs, _CHUNK)
+    # column k is pair k: row 0 walks +z, row 1 -z; the pairs are padded to
+    # whole blocks, and the padding is dropped before the reduction
+    padded = -(-pairs // _BLOCK) * _BLOCK
+    x = np.full((2, padded), co.x)
+    w = np.ones((2, padded))
+    los = range(0, padded, _CHUNK)
     workers = min(_pool_size(), len(los))
-    m = min(_CHUNK, pairs)
-    bufs = [(np.empty(_SLAB * m), np.empty((_SLAB, _BLOCK)), np.empty(2 * m),
-             np.empty(2 * m)) for _ in range(workers)]
+    m = min(_CHUNK, padded)
+    bufs = [(np.empty(_SLAB * m), np.empty(2 * m), np.empty(2 * m))
+            for _ in range(workers)]
     coef = -2.0 / var
 
     def walk(k):
@@ -189,6 +190,7 @@ def mc_price(S: float, t: float, contract: BarrierContract,
         for future in [pool.submit(walk, k) for k in range(workers)]:
             future.result()
     del bufs
+    x, w = x[:, :pairs], w[:, :pairs]
     # a far spot can overflow the payoffs or their spread; that is reported
     # below as an AccuracyError, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):

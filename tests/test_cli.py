@@ -269,11 +269,10 @@ def _fresh_python(code):
 
 def test_cli_import_leaves_heavy_scipy_subpackages_out():
     # validate's start is mostly import time, and nothing in the package
-    # needs these subpackages; the oracles are what loads scipy
+    # needs scipy: the lattice solves its tridiagonal systems in numpy
     proc = _fresh_python(
         "import sys, movebar.cli, movebar.oracles; print(sorted(m for m in "
-        "('scipy.integrate', 'scipy.interpolate', 'scipy.optimize', "
-        "'scipy.special') if m in sys.modules))")
+        "sys.modules if m == 'scipy' or m.startswith('scipy.')))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
@@ -285,7 +284,7 @@ PAIR = ["--curves", TWO_PIECE, "--contract", KNOCKOUT_CALL,
 @pytest.mark.parametrize("argvs, loaded", [
     ([["price", *PAIR], ["parity", *PAIR],
       ["curves", "show", "--curves", TWO_PIECE]], []),
-    ([["validate", *PAIR, *VALIDATE_FAST]], ["numpy", "scipy"]),
+    ([["validate", *PAIR, *VALIDATE_FAST]], ["numpy"]),
 ], ids=["closed forms", "validate"])
 def test_only_validate_loads_numpy_and_scipy(argvs, loaded):
     # the closed forms use only math; the oracles load on first use

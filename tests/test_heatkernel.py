@@ -1,5 +1,6 @@
 """Quadrature oracle: transformed coordinates and agreement with closed forms."""
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -262,11 +263,15 @@ def test_kernel_narrower_than_the_float_spacing_raises():
 
 def test_tolerance_below_the_relative_floor_is_named(td_curves):
     # a price of 2,063.73 stops refining at 1e-13 relative, 2.06e-10, above
-    # the requested 1e-10 absolute
+    # the requested 1e-10 absolute.  The achieved estimate is a difference
+    # of near-equal Gauss sums, so its last digits follow numpy's SIMD
+    # kernels for exp: it is checked to lie between the two, not pinned
     bar = mb.barrier_from_terminal(90.0, -50.0, td_curves, 1.0)
     con = mb.BarrierContract(strike=100.0, expiry=1.0, side="call",
                              style="down_and_out", barrier=bar)
-    with pytest.raises(AccuracyError, match=r"achieved 1\.151e-10, requested "
+    with pytest.raises(AccuracyError, match=r"achieved \S+, requested "
                        r"1\.000e-10, below the relative floor 1e-13 \* "
-                       r"\|value\| = 2\.06e-10$"):
+                       r"\|value\| = 2\.06e-10$") as info:
         heat_kernel_price(1.5 * bar.level(0.0), 0.0, con, tol=1e-10)
+    achieved = float(re.search(r"achieved (\S+),", str(info.value))[1])
+    assert 1e-10 < achieved <= 2.06e-10

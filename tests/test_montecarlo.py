@@ -18,13 +18,16 @@ FIX = Path(__file__).resolve().parents[1] / "fixtures"
 
 def _normals(seed, lo, z, slab=None):
     """Fill z, a (steps, pairs) array, with the normals of pairs
-    [lo, lo + pairs), drawn slab rows at a time (all at once if None)."""
+    [lo, lo + pairs), drawn slab rows at a time (all at once if None) into
+    block-major slabs of the whole blocks that hold them."""
     steps, m = z.shape
     slab = slab or steps
     streams = _block_streams(seed, lo, lo + m)
-    piece = np.empty((slab, _BLOCK))
+    first = lo // _BLOCK * _BLOCK
     for s0 in range(0, steps, slab):
-        _draw_slab(streams, lo, z[s0:s0 + slab], piece)
+        rows = min(slab, steps - s0)
+        drawn = _draw_slab(streams, np.empty((len(streams), rows, _BLOCK)))
+        z[s0:s0 + rows] = np.hstack(drawn)[:, lo - first:lo - first + m]
     return z
 
 
@@ -238,9 +241,10 @@ def test_input_validation(const_contract):
 
 def test_chunking_does_not_change_the_estimate(const_contract, monkeypatch):
     import movebar.oracles.montecarlo as mc_mod
+    # 1,500 pairs end 220 pairs into their sixth block
     base = mc_price(100.0, 0.0, const_contract, n_paths=3000, n_steps=8, seed=3)
-    # _CHUNK counts pairs; 333 paths would split a pair
-    for chunk in (700, 333):
+    # _CHUNK counts pairs in whole blocks of _BLOCK
+    for chunk in (3 * _BLOCK, _BLOCK):
         monkeypatch.setattr(mc_mod, "_CHUNK", chunk)
         rechunked = mc_price(100.0, 0.0, const_contract, n_paths=3000,
                              n_steps=8, seed=3)
@@ -251,7 +255,7 @@ def test_thread_count_does_not_change_the_estimate(const_contract, monkeypatch):
     import movebar.oracles.montecarlo as mc_mod
     base = mc_price(100.0, 0.0, const_contract, n_paths=3000, n_steps=8, seed=3)
     estimates = []
-    chunks = (mc_mod._CHUNK, 700, 333)
+    chunks = (mc_mod._CHUNK, 3 * _BLOCK, _BLOCK)
     for workers in (1, 2, 3):
         monkeypatch.setattr(mc_mod, "_pool_size", lambda: workers)
         for chunk in chunks:
@@ -261,7 +265,7 @@ def test_thread_count_does_not_change_the_estimate(const_contract, monkeypatch):
     assert all(est == base for est in estimates)
     # three unlocked walks, switching threads as often as possible
     monkeypatch.setattr(mc_mod, "_pool_size", lambda: 3)
-    monkeypatch.setattr(mc_mod, "_CHUNK", 333)
+    monkeypatch.setattr(mc_mod, "_CHUNK", _BLOCK)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:

@@ -1,12 +1,16 @@
 """Lattice oracle: grid construction, agreement with closed forms, Richardson."""
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import movebar as mb
 from movebar import AccuracyError, DomainError, PdeGrid, pde_price
-from movebar.oracles.pde import _cubic_at, _time_grid
+from movebar.oracles.pde import _Stepper, _cubic_at, _time_grid
+
+FIX = Path(__file__).resolve().parents[1] / "fixtures"
 
 
 def test_grid_validation():
@@ -178,3 +182,94 @@ def test_cubic_stencil_is_exact_on_nodes_and_cubics():
     # away from the ends the stencil is centred: two nodes on each side
     centred = (-v[3] + 9.0 * v[4] + 9.0 * v[5] - v[6]) / 16.0
     assert _cubic_at(v, 4.5) == pytest.approx(centred, rel=1e-14, abs=1e-15)
+
+
+def _lattice_system(C, theta, sigma=0.2, r=0.05, dx=0.005, dt=0.01):
+    """(lower, diag, upper, explicit, boundary) of one lattice step, built as
+    the lattice builds it; cell Peclet number |C + 1/2| dx."""
+    sig2 = sigma * sigma
+    conv = -(C + 0.5) * sig2
+    alpha = 0.5 * sig2 / (dx * dx) - 0.5 * conv / dx
+    beta = -sig2 / (dx * dx) - r
+    gamma = 0.5 * sig2 / (dx * dx) + 0.5 * conv / dx
+    ex = (1.0 - theta) * dt
+    return (-theta * dt * alpha, 1.0 - theta * dt * beta, -theta * dt * gamma,
+            (ex * alpha, 1.0 + ex * beta, ex * gamma), theta * dt * gamma)
+
+
+# blocks of about sqrt(2 rows): 800 rows make 20 whole blocks of 40, and
+# 799 and 801 leave 39 rows and 1 row in the last block
+@pytest.mark.parametrize("rows", [3, 39, 40, 41, 399, 799, 800, 801])
+@pytest.mark.parametrize("C,dx", [(0.0, 0.005), (-1.25, 0.02), (30.0, 0.1),
+                                  (-400.0, 0.05)],
+                         ids=["peclet-0.0025", "peclet-0.015", "peclet-3",
+                              "peclet-20"])
+@pytest.mark.parametrize("theta", [0.5, 1.0])
+def test_blocked_step_matches_a_dense_solve(rows, C, dx, theta):
+    system = _lattice_system(C, theta, dx=dx)
+    lower, diag, upper, (e_lo, e_mid, e_up), boundary = system
+    v = np.random.default_rng(rows).normal(size=rows + 2)
+    edge = 0.75
+    a = (np.diag(np.full(rows, diag)) + np.diag(np.full(rows - 1, lower), -1)
+         + np.diag(np.full(rows - 1, upper), 1))
+    rhs = e_lo * v[:-2] + e_mid * v[1:-1] + e_up * v[2:]
+    rhs[-1] += boundary * edge
+    want = np.linalg.solve(a, rhs)
+    stepper = _Stepper(rows)
+    stepper.work[:rows + 2] = v
+    stepper.step(stepper.tables(*system), edge)
+    got = stepper.work[1:rows + 1]
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    assert stepper.work[0] == v[0]  # the barrier node is never written
+
+
+@pytest.mark.parametrize("system,row", [((1.0, 0.0, 1.0), 0),
+                                        ((1.0, 1.0, 1.0), 1)])
+def test_zero_pivot_is_an_accuracy_error(system, row):
+    stepper = _Stepper(3)
+    with pytest.raises(AccuracyError, match=f"zero pivot in row {row} "):
+        stepper.tables(*system, (0.0, 1.0, 0.0), 0.0)
+
+
+# float.hex of the lattice price at S 100, t 0 with the tridiagonal systems
+# solved by LAPACK's dgttrf/dgttrs: the 9 fixture pairs (knockout style) at
+# the default 400 x 400 grid, then the criterion-1/2 calls at 800 x 800
+_LAPACK_400 = {
+    ("curves_flat", "contract_knockout_call"): "0x1.15490e79237bep+3",
+    ("curves_flat", "contract_levels_put"): "0x1.7ee49fd4b1f97p-3",
+    ("curves_flat", "contract_low_strike"): "0x1.4066ddfa66ad2p+4",
+    ("curves_flat_div", "contract_knockout_call"): "0x1.c11f26e57fc19p+2",
+    ("curves_flat_div", "contract_levels_put"): "0x1.8d28c7c073a0bp-3",
+    ("curves_flat_div", "contract_low_strike"): "0x1.195c6dffcf4c0p+4",
+    ("curves_two_piece", "contract_knockout_call"): "0x1.980c3d399f66fp+2",
+    ("curves_two_piece", "contract_levels_put"): "0x1.029ad6abf1cfcp-3",
+    ("curves_two_piece", "contract_low_strike"): "0x1.178468ccdeee1p+4",
+}
+_LAPACK_800 = {
+    ("flat", -1.25): "0x1.154ae59e0f61ap+3",
+    ("two_piece", -1.0): "0x1.c5f734b64baf5p+2",
+    ("two_piece", 0.0): "0x1.1c22817ed7eaap+3",
+    ("two_piece", 1.0): "0x1.375b458b551fdp+3",
+}
+
+
+@pytest.mark.parametrize("pair", list(_LAPACK_400), ids="+".join)
+def test_fixture_pairs_match_the_lapack_lattice(pair):
+    curves = mb.load_curves(FIX / f"{pair[0]}.json")
+    con = dataclasses.replace(mb.load_contract(FIX / f"{pair[1]}.json", curves),
+                              style="down_and_out")
+    got = pde_price(100.0, 0.0, con, grid=PdeGrid.for_contract(100.0, 0.0, con))
+    want = float.fromhex(_LAPACK_400[pair])
+    assert abs(got - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("case", list(_LAPACK_800), ids=str)
+def test_triangle_calls_match_the_lapack_lattice(case):
+    curves = (mb.CurveSet.constant(0.05, 0.0, 0.2) if case[0] == "flat"
+              else mb.load_curves(FIX / "curves_two_piece.json"))
+    con = mb.BarrierContract(
+        strike=100.0, expiry=1.0, side="call", style="down_and_out",
+        barrier=mb.barrier_from_terminal(90.0, case[1], curves, 1.0))
+    grid = PdeGrid.for_contract(100.0, 0.0, con, n_space=800, n_time=800)
+    want = float.fromhex(_LAPACK_800[case])
+    assert abs(pde_price(100.0, 0.0, con, grid=grid) - want) <= 1e-12 * abs(want)
