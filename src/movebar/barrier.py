@@ -153,11 +153,17 @@ def _closed_form(S: float, t: float, contract: BarrierContract, kind: str,
     else:
         legs = _legs(kind, contract)
         pairs = [_leg_pair(leg, S, lev, contract, bars) for leg in legs]
-        power = _power_factor(x, barrier.C)
-        images = [power * at_image[0] for _, at_image in pairs]
-        if not all(map(math.isfinite, images)):
-            raise DomainError("image term overflows; contract too far outside "
-                              "the tested parameter range")
+        try:
+            power = _power_factor(x, barrier.C)
+            images = [power * at_image[0] for _, at_image in pairs]
+            if not all(map(math.isfinite, images)):
+                raise DomainError("image term overflows; contract too far "
+                                  "outside the tested parameter range")
+        except DomainError:
+            if legs != (_forward_leg,) * 2:
+                raise
+            # the put below K = h_T: its images cancel like its legs
+            power, images = None, [0.0, 0.0]
         van = reduce(sub, [at_spot[0] for at_spot, _ in pairs])
         img = reduce(sub, images)
         (_, d1, d1p), (_, d2, d2p) = pairs[0]

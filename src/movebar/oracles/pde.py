@@ -9,12 +9,12 @@ integrals of r and sigma^2 that the call boundary needs are summed the same
 way, step by step.  The first steps out of the (kinked) payoff are fully
 implicit so the scheme keeps clean second-order behaviour.  Each step's
 tridiagonal solve is blocked, by the partition method (see _Stepper): once
-per distinct system it tables a block inverse from the Thomas LU and the
-inverse of a small reduced system, and a step is then a few matrix products
-in plain numpy, the explicit half-step folded into the first.  The price at the
-spot is read off the final grid by the cubic through the four nodes around
-it (4-point Lagrange, stencil clamped to the grid); its O(dx^4) error sits
-well below the scheme's O(dx^2).
+per step length it tables LAPACK's inverses of the blocks and of a small
+reduced system, and a step is then a few matrix products in plain numpy, the
+explicit half-step folded into the first.  The price at the spot is read off
+the final grid by the cubic through the four nodes around it (4-point
+Lagrange, stencil clamped to the grid); its O(dx^4) error sits well below the
+scheme's O(dx^2).
 """
 from __future__ import annotations
 
@@ -156,7 +156,9 @@ def _solve(S: float, t: float, contract: BarrierContract, grid: PdeGrid) -> floa
 
     rbar = sigma2bar = 0.0  # the integrals over [t_lo, T]
     edge = 0.0  # the value at x_max; a put's stays 0
-    # the solve's tables, one per distinct system
+    # the solve's tables, one per distinct system; the uniform steps differ
+    # in their last bits, so a step is keyed by its length in uniform steps
+    h = (contract.expiry - t) / grid.n_time
     factors = {}
     try:
         with np.errstate(over="raise", invalid="raise"):
@@ -172,14 +174,15 @@ def _solve(S: float, t: float, contract: BarrierContract, grid: PdeGrid) -> floa
                     sigma2bar += sig2 * dt
                     edge = math.exp(-rbar) * (top * math.exp(-C * sigma2bar) - K)
 
-                tables = factors.get((sig, r, dt, theta))
+                key = (sig, r, round(dt / h, 9), theta)
+                tables = factors.get(key)
                 if tables is None:
                     conv = -(C + 0.5) * sig2
                     alpha = 0.5 * sig2 / (dx * dx) - 0.5 * conv / dx
                     beta = -sig2 / (dx * dx) - r
                     gamma = 0.5 * sig2 / (dx * dx) + 0.5 * conv / dx
                     ex_dt = (1.0 - theta) * dt
-                    tables = factors[sig, r, dt, theta] = stepper.tables(
+                    tables = factors[key] = stepper.tables(
                         -theta * dt * alpha, 1.0 - theta * dt * beta,
                         -theta * dt * gamma,
                         (ex_dt * alpha, 1.0 + ex_dt * beta, ex_dt * gamma),
@@ -210,6 +213,15 @@ def _cubic_at(v: np.ndarray, pos: float) -> float:
                -s * (s - 1.0) * (s - 3.0) / 2.0,
                s * (s - 1.0) * (s - 2.0) / 6.0)
     return float(sum(w * v[j + k] for k, w in enumerate(weights)))
+
+
+def _inverse(a: np.ndarray) -> np.ndarray:
+    """LAPACK's inverse of a; AccuracyError if it is singular."""
+    try:
+        return np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        raise AccuracyError("the lattice's tridiagonal system is "
+                            "singular") from None
 
 
 class _Stepper:
@@ -248,36 +260,21 @@ class _Stepper:
     def tables(self, lower, diag, upper, explicit, boundary):
         """What step() needs of one system: the local solves of a block and
         of the last block, the map from the local ends to every block's
-        carries in, and the spikes.  AccuracyError on a zero pivot in a
-        block or a singular reduced system."""
+        carries in, and the spikes.  AccuracyError on a singular block or
+        reduced system."""
         rows, m = self.rows, self.block
         nb = len(self._interior)
         p = rows - (nb - 1) * m  # rows in the last block
-        # a block's Thomas LU, A = L U, and its inverse U^-1 L^-1: L is unit
-        # lower bidiagonal, U upper bidiagonal with the pivots u on its
-        # diagonal and `upper` above it
-        u = [diag]
-        while u[-1] and len(u) < m:
-            u.append(diag - lower * upper / u[-1])
-        if not u[-1]:
-            raise AccuracyError(f"zero pivot in row {len(u) - 1} of the "
-                                f"lattice's tridiagonal solve")
-        u = np.array(u)
-        # row i of [0] L^-1 is row i - 1 times -lower / u[i - 1], plus 1 on
-        # the diagonal; [1] is the same for (U^-1 times u)^T and -upper
-        factors = np.zeros((2, m))
-        factors[:, 1:] = np.multiply.outer((-lower, -upper), 1.0 / u[:-1])
-        i = np.arange(m)
-        chains = np.cumprod(np.where(i[:, None] > i, factors[:, :, None], 1.0),
-                            axis=1) * (i[:, None] >= i)
-        l_inv, u_inv = chains[0], chains[1].T / u
+        a = (np.diag(np.full(m, diag)) + np.diag(np.full(m - 1, lower), -1)
+             + np.diag(np.full(m - 1, upper), 1))
         # [0] every block but the last; [1] the last, whose p rows are the
         # leading block of [0] and whose padding stays 0; the boundary value
         # enters in the column after its window
         inv = np.zeros((2, m, m))
-        inv[0] = u_inv @ l_inv
-        inv[1, :p, :p] = u_inv[:p, :p] @ l_inv[:p, :p]
+        inv[0] = _inverse(a)
+        inv[1, :p, :p] = _inverse(a[:p, :p])
         e = np.zeros((2, m, m + 3))
+        i = np.arange(m)
         for d, x in enumerate(explicit):
             e[:, i, i + d] = x
         e[1, p - 1, p + 2] = boundary
@@ -298,13 +295,8 @@ class _Stepper:
         reduced[k - 1, :, k, 1] = -spikes[1, [-1, 0]]
         if nb > 1:
             reduced[-1, :, -2, 0] = -spike_last[[-1, 0]]
-        try:
-            z = np.linalg.inv(reduced.reshape(2 * nb, 2 * nb))
-        except np.linalg.LinAlgError:
-            raise AccuracyError("the lattice's reduced tridiagonal system is "
-                                "singular") from None
         # block k's carries in: y before it and y after it
-        z = z.reshape(nb, 2, 2 * nb)
+        z = _inverse(reduced.reshape(2 * nb, 2 * nb)).reshape(nb, 2, 2 * nb)
         carry = np.zeros((nb, 2, 2 * nb))
         carry[1:, 0] = z[:-1, 0]
         carry[:-1, 1] = z[1:, 1]

@@ -241,6 +241,21 @@ def test_strike_below_terminal_barrier_priced():
                                                           curves).price
 
 
+@pytest.mark.parametrize("C", [60.0, 100.0, 400.0])
+def test_put_below_terminal_barrier_needs_no_power_factor(C):
+    # from C near 100 the power factor (S/h(t))^(2C+1) overflows, but the
+    # put's two legs, and so their images, cancel: out 0, in the vanilla
+    curves = mb.CurveSet.constant(0.05, 0.01, 0.2)
+    bar = mb.barrier_from_terminal(90.0, C, curves, T0)
+    out_put, in_put = (mb.BarrierContract(strike=80.0, expiry=T0, side="put",
+                                          style=style, barrier=bar)
+                       for style in ("down_and_out", "down_and_in"))
+    assert mb.down_and_out_put(S0, 0.0, out_put).price == 0.0
+    assert mb.down_and_in_put(S0, 0.0, in_put).price == mb.vanilla_put(
+        S0, 0.0, 80.0, T0, curves).price
+    assert mb.heat_kernel_price(S0, 0.0, out_put) == 0.0
+
+
 @pytest.mark.parametrize("strike", [80.0, 90.0, 100.0])
 @pytest.mark.parametrize("side", ["call", "put"])
 def test_breakdown_carries_d_values_at_every_strike(td_contract, side, strike):

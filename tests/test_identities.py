@@ -4,8 +4,9 @@ Curves have 1-12 pieces switching inside (t, T); K in [50, 150],
 h_T = K·[0.75, 0.98], C in [-1.5, 1.5] and S = h(t)·e^[0, 1], the ranges of
 the benchmark's ``book`` workload.  Half the examples draw h_T = K·[0.75, 1.25]
 instead, so the identities also hold below K = h_T, where the knockouts are
-the knockout forward and exactly 0.  Derandomized, so every run checks the
-same examples.
+the knockout forward and exactly 0; there the put is also drawn with C up
+to 400 and spots around h_T, where the power factor overflows.
+Derandomized, so every run checks the same examples.
 """
 import dataclasses
 import math
@@ -43,15 +44,15 @@ def _curves(draw, t, T):
 
 
 @st.composite
-def book_cases(draw, barrier_over_strike=(0.75, 0.98)):
+def book_cases(draw, barrier_over_strike=(0.75, 0.98), C=(-1.5, 1.5)):
     """(call, put, t, level): down-and-out contracts on one barrier, with
-    h_T = K times a draw from barrier_over_strike."""
+    h_T = K times a draw from barrier_over_strike and C drawn from C."""
     t = draw(_floats(0.0, 0.5))
     T = t + draw(_floats(0.5, 2.0))
     curves = draw(_curves(t, T))
     K = draw(_floats(50.0, 150.0))
     h_T = K * draw(_floats(*barrier_over_strike))
-    bar = mb.barrier_from_terminal(h_T, draw(_floats(-1.5, 1.5)), curves, T)
+    bar = mb.barrier_from_terminal(h_T, draw(_floats(*C)), curves, T)
     call, put = (mb.BarrierContract(strike=K, expiry=T, side=side,
                                     style="down_and_out", barrier=bar)
                  for side in ("call", "put"))
@@ -61,6 +62,7 @@ def book_cases(draw, barrier_over_strike=(0.75, 0.98)):
 every_strike_cases = st.one_of(book_cases(), book_cases((0.75, 1.25)))
 # h_T at least 1% above K, so that rounding cannot make K = h_T
 low_strike_cases = book_cases((1.01, 1.25))
+low_strike_large_C_cases = book_cases((1.01, 1.25), C=(-1.5, 400.0))
 spot_factors = _floats(0.0, 1.0).map(math.exp)
 
 
@@ -103,6 +105,19 @@ def test_low_strike_knockouts_are_the_forward_and_zero(case, factor):
     S = level * factor
     assert (mb.down_and_out_call(S, t, call)
             == mb.forward_barrier_value(S, t, call))
+    assert mb.down_and_out_put(S, t, put).price == 0.0
+    in_put = dataclasses.replace(put, style="down_and_in")
+    assert (mb.down_and_in_put(S, t, in_put).price
+            == mb.vanilla_put(S, t, put.strike, put.expiry, put.curves).price)
+
+
+@PROPERTY
+@given(low_strike_large_C_cases, _floats(-1.0, 1.0).map(math.exp))
+def test_low_strike_put_is_zero_at_any_C(case, factor):
+    # spots around h_T: at large C, h(t) lies far below them and the power
+    # factor overflows
+    _, put, t, _ = case
+    S = put.barrier.h_T * factor
     assert mb.down_and_out_put(S, t, put).price == 0.0
     in_put = dataclasses.replace(put, style="down_and_in")
     assert (mb.down_and_in_put(S, t, in_put).price

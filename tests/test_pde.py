@@ -227,8 +227,50 @@ def test_blocked_step_matches_a_dense_solve(rows, C, dx, theta):
                                         ((1.0, 1.0, 1.0), 1)])
 def test_zero_pivot_is_an_accuracy_error(system, row):
     stepper = _Stepper(3)
-    with pytest.raises(AccuracyError, match=f"zero pivot in row {row} "):
+    with pytest.raises(AccuracyError, match="tridiagonal system is singular"):
         stepper.tables(*system, (0.0, 1.0, 0.0), 0.0)
+
+
+# (lower, diag, upper) systems whose blocks meet a zero pivot without row
+# exchanges, though the whole system is well conditioned (condition number
+# 11-12)
+@pytest.mark.parametrize("rows,coef", [(6, 1.0), (7, 2.0)])
+def test_blocks_solve_past_a_zero_pivot(rows, coef):
+    v = np.random.default_rng(rows).normal(size=rows + 2)
+    a = coef * (np.eye(rows) + np.eye(rows, k=1) + np.eye(rows, k=-1))
+    want = np.linalg.solve(a, v[1:-1])
+    stepper = _Stepper(rows)
+    stepper.work[:rows + 2] = v
+    stepper.step(stepper.tables(coef, coef, coef, (0.0, 1.0, 0.0), 0.0), 0.0)
+    got = stepper.work[1:rows + 1]
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_singular_system_is_an_accuracy_error():
+    # 1 + 2 cos(6 pi / 9) = 0: (1, 1, 1) on 8 rows is singular
+    with pytest.raises(AccuracyError, match="tridiagonal system is singular"):
+        _Stepper(8).tables(1.0, 1.0, 1.0, (0.0, 1.0, 0.0), 0.0)
+
+
+@pytest.mark.parametrize("n", [200, 400, 800])
+@pytest.mark.parametrize("curves,builds", [("curves_flat", 2),
+                                           ("curves_two_piece", 3)])
+def test_one_table_per_step_length(monkeypatch, curves, builds, n):
+    # the full steps share one system and the smoothing half-steps another;
+    # the two-piece curves' breakpoint splits one step in two more
+    calls = []
+    tables = _Stepper.tables
+
+    def counted(self, *args):
+        calls.append(args)
+        return tables(self, *args)
+
+    monkeypatch.setattr(_Stepper, "tables", counted)
+    con = mb.load_contract(FIX / "contract_knockout_call.json",
+                           mb.load_curves(FIX / f"{curves}.json"))
+    pde_price(100.0, 0.0, con,
+              grid=PdeGrid.for_contract(100.0, 0.0, con, n_space=n, n_time=n))
+    assert len(calls) == builds
 
 
 # float.hex of the lattice price at S 100, t 0 with the tridiagonal systems
