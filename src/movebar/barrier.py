@@ -19,6 +19,7 @@ leg is the forward leg, and the put's legs cancel to exactly 0.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, asdict
 from functools import reduce
 from operator import sub
@@ -29,6 +30,8 @@ from .curves import CurveSet
 from .errors import DomainError
 from .vanilla import norm_cdf, quote_from_bars, vanilla_call, vanilla_put
 
+_LOG_MAX = math.log(sys.float_info.max)  # exp overflows beyond it
+
 
 @dataclass(frozen=True)
 class PriceBreakdown:
@@ -37,7 +40,8 @@ class PriceBreakdown:
     For out-styles price = vanilla_term - image_term; for in-styles
     price = image_term.  Below K = h_T the out-styles' vanilla_term is the
     forward leg.  d and power fields are None on degenerate branches
-    (knocked out below the barrier, knocked in, expired).
+    (knocked out below the barrier, knocked in, expired), and power_factor
+    is None for the put below K = h_T, whose images cancel like its legs.
     status is one of "live", "knocked_out", "knocked_in", "expired".
     """
 
@@ -57,16 +61,6 @@ class PriceBreakdown:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-def _power_factor(x: float, C: float) -> float:
-    log_power = (2.0 * C + 1.0) * x
-    try:
-        return math.exp(log_power)
-    except OverflowError:
-        raise DomainError(
-            f"power factor exp({log_power:.3g}) overflows; C={C} too large "
-            "for this spot/barrier ratio") from None
 
 
 def _expired(S: float, contract: BarrierContract, kind: str,
@@ -153,17 +147,16 @@ def _closed_form(S: float, t: float, contract: BarrierContract, kind: str,
     else:
         legs = _legs(kind, contract)
         pairs = [_leg_pair(leg, S, lev, contract, bars) for leg in legs]
-        try:
-            power = _power_factor(x, barrier.C)
+        if legs == (_forward_leg,) * 2:
+            images = [0.0, 0.0]  # the put below K = h_T: they cancel
+        else:
+            log_power = (2.0 * barrier.C + 1.0) * x
+            power = math.exp(log_power) if log_power <= _LOG_MAX else math.inf
             images = [power * at_image[0] for _, at_image in pairs]
             if not all(map(math.isfinite, images)):
-                raise DomainError("image term overflows; contract too far "
-                                  "outside the tested parameter range")
-        except DomainError:
-            if legs != (_forward_leg,) * 2:
-                raise
-            # the put below K = h_T: its images cancel like its legs
-            power, images = None, [0.0, 0.0]
+                raise DomainError(
+                    f"image term overflows: power factor exp({log_power:.3g}) "
+                    f"at C={barrier.C}; C too large for this spot/barrier ratio")
         van = reduce(sub, [at_spot[0] for at_spot, _ in pairs])
         img = reduce(sub, images)
         (_, d1, d1p), (_, d2, d2p) = pairs[0]

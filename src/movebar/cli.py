@@ -155,7 +155,7 @@ def cmd_validate(args) -> int:
               "style_validated": "down_and_out"}
 
     closed = price_contract(S, t, out_contract).price
-    # every flag is checked before the lattice solve, the costliest step
+    # every flag is checked before the simulation, the costliest step
     heat = heat_kernel_price(S, t, out_contract, tol=args.tol_heat / 10.0)
     grid = PdeGrid.for_contract(S, t, out_contract,
                                 n_space=args.pde_grid, n_time=args.pde_grid)

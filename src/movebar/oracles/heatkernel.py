@@ -25,7 +25,7 @@ nodes of every panel being refined, so only numpy is needed here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -119,17 +119,8 @@ def heat_kernel_price(S: float, t: float, contract: BarrierContract,
     to_heat_coords' rule.
     """
     check_tolerance("tol", tol)
-    coords = to_heat_coords(S, t, contract)
-    return _integral(coords, contract, tol,
-                     knockout=contract.style == "down_and_out")
-
-
-def _integral(coords: HeatCoords, contract: BarrierContract, tol: float,
-              knockout: bool) -> float:
-    """The payoff against the discounted Gaussian times the knockout's
-    survival factor on the half-line, or the knock-in's complement of it on
-    the whole line."""
-    x, tau, a_T, rbar = coords.x, coords.tau, coords.a_T, coords.rbar
+    x, tau, a_T, rbar = astuple(to_heat_coords(S, t, contract))
+    knockout = contract.style == "down_and_out"
     K, h_T = contract.strike, contract.barrier.h_T
     kink = math.log(K) - math.log(h_T)
     bounds = _payoff_bounds(contract.side, kink, x, tau, a_T, knockout)

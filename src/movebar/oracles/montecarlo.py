@@ -19,21 +19,22 @@ pair _BLOCK*b + j is that stream's normal number _BLOCK*i + j.  A pair's
 normals thus depend only on (seed, pair), and its first k steps are the same
 for every n_steps >= k.
 
-The pairs are padded to whole blocks, and chunks of _CHUNK pairs (whole
-blocks too) run on a thread pool with one thread per available core.  They
-write their paths' terminal x and survival weights into arrays shared by
-all chunks, viewed as (2, blocks, _BLOCK); the padding is dropped before
-the reduction.  A worker draws _SLAB steps of its chunk's normals into a
-block-major (blocks, steps, _BLOCK) slab, each block's stream filling its
-own part in place, scales them by sigma sqrt(dt) in one multiply, walks
-them and draws the next slab, so its memory does not grow with n_steps.  No
-lock is taken: the draws are long calls that release the interpreter lock,
-and a walk step is 9 numpy calls over a whole chunk row of 32,768 paths, so
-two walks trade the interpreter lock far less often than on short rows.
+The blocks are padded to chunks of one width, the fewest chunks of at most
+_CHUNK pairs, which run on a thread pool with one thread per available
+core.  They write their paths' terminal x and survival weights into
+(2, blocks, _BLOCK) arrays shared by all chunks; the padding is dropped
+before the reduction.  A worker draws _SLAB steps of its chunk's normals
+into a block-major (blocks, steps, _BLOCK) slab, each block's stream
+filling its own part in place, scales them by sigma sqrt(dt) in one
+multiply, walks them and draws the next slab, so its memory does not grow
+with n_steps.  No lock is taken: the draws are long calls that release the
+interpreter lock, and a walk step is 9 numpy calls over a whole chunk row
+of up to 32,768 paths, so two walks trade the interpreter lock far less
+often than on short rows.
 The estimate is reduced once at the end, its standard error from the pair
 means, so it is bit-identical for a given (seed, n_paths, n_steps) whatever
-the thread count or chunk size.  Each worker's buffers (about 2.5 MB: the
-2 MB slab, the other x and the crossing exponent) are allocated by the
+the thread count or chunk size.  Each worker's buffers (at most about 2.5 MB:
+the 2 MB slab, the other x and the crossing exponent) are allocated by the
 calling thread and reused for every chunk: buffers allocated and freed on
 the worker threads stay cached in the allocator's per-thread arenas, and
 the peak memory then depends on which thread ran which chunk.
@@ -53,7 +54,7 @@ from .heatkernel import to_heat_coords
 from .pde import _time_grid
 
 _BLOCK = 256  # pairs per seeded stream; fixes the estimate's bits
-_CHUNK = 16384  # pairs per task, whole blocks: a numpy call covers 32,768 paths
+_CHUNK = 16384  # most pairs per task, whole blocks: 32,768 paths per numpy call
 _SLAB = 16  # steps of normals drawn ahead of the walk: 2 MB per chunk
 # floor of the crossing exponent: exp(e) < 2**-54 for e <= -37.5, so
 # 1 - exp(e) is exactly 1.0 there and the clamp changes no weight
@@ -100,27 +101,22 @@ def _pool_size() -> int:
 
 
 def _walk_chunk(seed, lo, x, w, drift, sd, coef, buf):
-    """Walk the antithetic pairs [lo, lo + m) in x = ln(S/h(t)), m a whole
-    number of blocks.
+    """Walk the antithetic pairs of the chunk whose first pair is lo, in
+    x = ln(S/h(t)).
 
-    ``x`` and ``w`` are (2, m) blocks of start x and survival weight 1, the
-    paths walking +z in row 0 and -z in row 1, and are left at their terminal
-    values.  ``coef`` is -2 / variance per step.  ``buf`` holds the worker's
-    flat buffers for a slab of normals, the other x and the crossing
-    exponent, each at least as long as this chunk needs.  Runs on worker
-    threads, so it calls only numpy."""
-    steps, m = len(coef), x.shape[1]
-    blocks = m // _BLOCK
+    ``x`` and ``w`` are (2, blocks, _BLOCK) arrays of start x and survival
+    weight 1, the paths walking +z in row 0 and -z in row 1, and are left at
+    their terminal values.  ``coef`` is -2 / variance per step.  ``buf``
+    holds the worker's buffers in the chunk's shapes: a (blocks, _SLAB,
+    _BLOCK) slab of normals, the other x and the crossing exponent.  Runs on
+    worker threads, so it calls only numpy."""
     slab, x_b, e = buf
-    x_a = x = x.reshape(2, blocks, _BLOCK)
-    w = w.reshape(2, blocks, _BLOCK)
-    x_b, e = x_b[:2 * m].reshape(x.shape), e[:2 * m].reshape(x.shape)
-    streams = _block_streams(seed, lo, lo + m)
-    for s0 in range(0, steps, _SLAB):
-        rows = min(_SLAB, steps - s0)
-        z = _draw_slab(streams, slab[:blocks * rows * _BLOCK].reshape(
-            blocks, rows, _BLOCK))
-        np.multiply(z, sd[s0:s0 + rows, None], out=z)
+    x_a = x
+    streams = _block_streams(seed, lo, lo + x.shape[1] * _BLOCK)
+    for s0 in range(0, len(coef), _SLAB):
+        # the last slab may be short: slices clamp to the steps left
+        z = _draw_slab(streams, slab[:, :len(coef) - s0])
+        np.multiply(z, sd[s0:s0 + _SLAB, None], out=z)
         for i, dz in enumerate(z.swapaxes(0, 1), s0):
             np.add(x_a, drift[i], out=x_b)
             np.add(x_b[0], dz, out=x_b[0])
@@ -168,29 +164,31 @@ def mc_price(S: float, t: float, contract: BarrierContract,
     disc = math.exp(-co.rbar)
 
     pairs = n_paths // 2
-    # column k is pair k: row 0 walks +z, row 1 -z; the pairs are padded to
-    # whole blocks, and the padding is dropped before the reduction
-    padded = -(-pairs // _BLOCK) * _BLOCK
-    x = np.full((2, padded), co.x)
-    w = np.ones((2, padded))
-    los = range(0, padded, _CHUNK)
-    workers = min(_pool_size(), len(los))
-    m = min(_CHUNK, padded)
-    bufs = [(np.empty(_SLAB * m), np.empty(2 * m), np.empty(2 * m))
-            for _ in range(workers)]
+    # pair _BLOCK * b + j is column j of block b, row 0 walking +z and row 1
+    # -z; the blocks are padded to chunks of one width, at most _CHUNK
+    # pairs, and the padding is dropped before the reduction
+    blocks = -(-pairs // _BLOCK)
+    chunks = -(-blocks // (_CHUNK // _BLOCK))
+    width = -(-blocks // chunks)
+    x = np.full((2, chunks * width, _BLOCK), co.x)
+    w = np.ones(x.shape)
+    starts = range(0, chunks * width, width)
+    workers = min(_pool_size(), chunks)
+    bufs = [(np.empty((width, _SLAB, _BLOCK)), np.empty((2, width, _BLOCK)),
+             np.empty((2, width, _BLOCK))) for _ in range(workers)]
     coef = -2.0 / var
 
     def walk(k):
         # worker k walks every workers-th chunk with its own buffers
-        for lo in los[k::workers]:
-            _walk_chunk(int(seed), lo, x[:, lo:lo + _CHUNK],
-                        w[:, lo:lo + _CHUNK], drift, sd, coef, bufs[k])
+        for b in starts[k::workers]:
+            _walk_chunk(int(seed), b * _BLOCK, x[:, b:b + width],
+                        w[:, b:b + width], drift, sd, coef, bufs[k])
 
     with ThreadPoolExecutor(workers) as pool:
         for future in [pool.submit(walk, k) for k in range(workers)]:
             future.result()
     del bufs
-    x, w = x[:, :pairs], w[:, :pairs]
+    x, w = x.reshape(2, -1)[:, :pairs], w.reshape(2, -1)[:, :pairs]
     # a far spot can overflow the payoffs or their spread; that is reported
     # below as an AccuracyError, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):

@@ -65,6 +65,8 @@ class PdeGrid:
         kink = math.log(contract.strike) - math.log(contract.barrier.h_T)
         x_max = max(co.x, kink, 0.0) + _DOMAIN_SDS * math.sqrt(co.tau)
         j = round(kink * n_space / x_max)
+        if j >= 1 and kink * n_space / j < co.x:
+            j -= 1  # rounding up would drop the spot off the grid
         if j >= 1:
             x_max = kink * n_space / j
         return cls(x_max=x_max, n_space=n_space, n_time=n_time)
@@ -93,10 +95,13 @@ def pde_price(S: float, t: float, contract: BarrierContract,
     """Crank-Nicolson price of the knockout problem for the contract's side.
 
     Knock-in styles have no absorbing-boundary PDE of their own; price them
-    as vanilla minus knockout.  (S, t) must pass to_heat_coords' rule.  If
-    tol is given the solve is repeated on a half-resolution grid and a
-    Richardson error estimate above tol raises AccuracyError; a tol that is
-    not a positive finite number raises DomainError.
+    as vanilla minus knockout.  (S, t) must pass to_heat_coords' rule.  A
+    grid whose cell Peclet number |C + 1/2| dx exceeds 1 raises
+    AccuracyError, unless the contract is a put struck at or below h_T
+    (worth exactly 0).  If tol is given the solve is repeated on a
+    half-resolution grid and a Richardson error estimate above tol raises
+    AccuracyError; a tol that is not a positive finite number raises
+    DomainError.
     """
     if tol is not None:
         check_tolerance("tol", tol)
@@ -141,6 +146,16 @@ def _solve(S: float, t: float, contract: BarrierContract, grid: PdeGrid) -> floa
     spots_T = h_T * np.exp(x)
     v[:] = np.maximum(spots_T - K, 0.0) if is_call else np.maximum(K - spots_T, 0.0)
     v[0] = 0.0
+    # central convection oscillates beyond cell Peclet number 1; a put
+    # struck at or below h_T pays nothing above the barrier and solves to
+    # exactly 0 all the same
+    peclet = abs(C + 0.5) * dx
+    if peclet > 1.0 and (is_call or K > h_T):
+        raise AccuracyError(
+            f"cell Peclet number |C + 1/2| dx = {peclet:.3g} exceeds 1 at "
+            f"C={C} on n_space={n}: the lattice cannot resolve the "
+            f"convection; n_space={math.ceil(abs(C + 0.5) * grid.x_max)} "
+            f"brings it to 1")
 
     times = _time_grid(t, contract.expiry, grid.n_time, contract)
 
@@ -161,7 +176,7 @@ def _solve(S: float, t: float, contract: BarrierContract, grid: PdeGrid) -> floa
     h = (contract.expiry - t) / grid.n_time
     factors = {}
     try:
-        with np.errstate(over="raise", invalid="raise"):
+        with np.errstate(over="ignore", invalid="ignore"):
             for t_lo, t_hi, theta in substeps():
                 dt = t_hi - t_lo
                 mid = 0.5 * (t_lo + t_hi)
@@ -188,16 +203,14 @@ def _solve(S: float, t: float, contract: BarrierContract, grid: PdeGrid) -> floa
                         (ex_dt * alpha, 1.0 + ex_dt * beta, ex_dt * gamma),
                         theta * dt * gamma)
                 stepper.step(tables, edge)
-                if not np.isfinite(v[1:-1]).all():  # an inf that raised no flag
-                    raise FloatingPointError("overflow in the tridiagonal solve")
+                if not np.isfinite(v[1:-1]).all():
+                    raise AccuracyError(f"lattice values leave the float "
+                                        f"range at t={t_lo:.6g}")
                 v[-1] = edge
     except OverflowError as exc:  # math.exp of the call boundary
         raise DomainError(f"call boundary at t={t_lo:.6g} is outside the float "
                           f"range: rbar={rbar:.4g}, sigma2bar={sigma2bar:.4g} "
                           f"to expiry") from exc
-    except FloatingPointError as exc:
-        raise AccuracyError(f"lattice values leave the float range at "
-                            f"t={t_lo:.6g}") from exc
 
     return _cubic_at(v, x_eval / dx)
 

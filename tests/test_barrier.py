@@ -254,6 +254,11 @@ def test_put_below_terminal_barrier_needs_no_power_factor(C):
     assert mb.down_and_in_put(S0, 0.0, in_put).price == mb.vanilla_put(
         S0, 0.0, 80.0, T0, curves).price
     assert mb.heat_kernel_price(S0, 0.0, out_put) == 0.0
+    # the lattice too, whatever its cell Peclet number (21 at C 400)
+    assert mb.pde_price(S0, 0.0, out_put) == 0.0
+    # decided by the legs, so at every C, not only where the factor overflows
+    for con in (out_put, in_put):
+        assert mb.price_contract(S0, 0.0, con).power_factor is None
 
 
 @pytest.mark.parametrize("strike", [80.0, 90.0, 100.0])
@@ -281,6 +286,16 @@ def test_huge_decay_constant_overflows_cleanly():
     con = mb.BarrierContract(strike=K0, expiry=T0, side="call",
                              style="down_and_out", barrier=bar)
     with pytest.raises(DomainError):
+        mb.down_and_out_call(S0, 0.0, con)
+
+
+def test_overflowing_image_term_names_its_exponent():
+    # (2C + 1) ln(S/h(t)) = 201 * 4.14: the image term leaves the float range
+    curves = mb.CurveSet.constant(0.05, 0.01, 0.2)
+    bar = mb.barrier_from_terminal(90.0, 100.0, curves, T0)
+    con = mb.BarrierContract(strike=K0, expiry=T0, side="call",
+                             style="down_and_out", barrier=bar)
+    with pytest.raises(DomainError, match=r"exp\(8.*C=100"):
         mb.down_and_out_call(S0, 0.0, con)
 
 

@@ -71,7 +71,7 @@ def test_first_steps_do_not_depend_on_the_step_count():
 # with C = 0, recorded with antithetic pairs walking x = ln(S/h(t)) on the
 # ziggurat normals of one SFC64 stream per block of 256 pairs: step i of pair
 # 256 b + j is normal number 256 i + j of SeedSequence(seed, spawn_key=(b,)).
-# 3000 paths leave the last block and chunk partial and 8194 a one-pair
+# 3000 paths leave the last block partial and 8194 a one-pair
 # block.  The last three shapes have crossing exponents below -745 (exp
 # underflows to 0), in the subnormal band [-745, -708] and exactly at 0 (an
 # endpoint at or below the barrier).  Spot None is one part in 1e4 above
@@ -274,6 +274,21 @@ def test_thread_count_does_not_change_the_estimate(const_contract, monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert est == base
+
+
+def test_chunks_are_of_one_width(const_contract, monkeypatch):
+    # 50,000 pairs fill 196 blocks: four chunks of 49, none partial
+    import movebar.oracles.montecarlo as mc_mod
+    widths = []
+    walk = mc_mod._walk_chunk
+
+    def recorded(seed, lo, x, *args):
+        widths.append(x[0].size // _BLOCK)
+        return walk(seed, lo, x, *args)
+
+    monkeypatch.setattr(mc_mod, "_walk_chunk", recorded)
+    mc_price(100.0, 0.0, const_contract, n_paths=100_000, n_steps=4, seed=1)
+    assert widths == [49] * 4
 
 
 def test_memory_does_not_grow_with_the_step_count(const_contract):

@@ -63,6 +63,32 @@ def test_kink_next_to_the_barrier_keeps_the_domain(h_T):
     assert abs(pde_price(110.0, 0.0, con) - closed) / closed <= 1e-5
 
 
+def _flat(C, side="call", h_T=90.0):
+    curves = mb.CurveSet.constant(0.05, 0.01, 0.2)
+    return mb.BarrierContract(strike=100.0, expiry=1.0, side=side,
+                              style="down_and_out",
+                              barrier=mb.barrier_from_terminal(h_T, C, curves, 1.0))
+
+
+def test_kink_snap_keeps_a_far_spot_on_the_grid():
+    # x = 23.17: rounding the kink's node up would end the grid at 21.07
+    con = _flat(0.0)
+    closed = mb.down_and_out_call(1e12, 0.0, con).price
+    assert abs(pde_price(1e12, 0.0, con) - closed) / closed <= 1e-4
+
+
+# cell Peclet numbers |C + 1/2| dx of the default grid: 1.5 and 21 at S 100,
+# 6.6 for the far spot, whose dx is wide against the diffusion; the C 600
+# put's kink lies on node 1, so no node carries its payoff
+@pytest.mark.parametrize("C,side,S,h_T", [
+    (100.0, "call", 100.0, 90.0), (100.0, "put", 100.0, 90.0),
+    (400.0, "call", 100.0, 90.0), (400.0, "put", 100.0, 90.0),
+    (600.0, "put", 100.0, 90.0), (-10.0, "call", 1e100, 50.0)])
+def test_unresolved_convection_is_an_accuracy_error(C, side, S, h_T):
+    with pytest.raises(AccuracyError, match=f"Peclet.*C={C}.*n_space="):
+        pde_price(S, 0.0, _flat(C, side, h_T))
+
+
 def test_for_contract_rejects_spot_below_barrier(const_contract):
     lev = const_contract.barrier.level(0.0)
     with pytest.raises(DomainError):
