@@ -37,8 +37,19 @@ _TAIL_SDS = 42.0
 # beyond _BULK_SDS it is below _EPS_REL: no tail panel hides an error there
 _BULK_SDS = 8.0
 # Gauss-Legendre nodes and weights on [-1, 1], the Gauss half of QUADPACK's
-# 21-point Gauss-Kronrod pair
-_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(10)
+# 21-point Gauss-Kronrod pair: numpy's leggauss(10) written out, so that
+# numpy.polynomial is not loaded.  The nodes are correctly rounded; the
+# weights are within 7 ulp of the exact ones and keep leggauss' bits
+_NODES = np.array([float.fromhex(h) for h in (
+    "-0x1.f2a3e062af2d8p-1", "-0x1.bae995e9cb2f3p-1", "-0x1.5bdb9228de198p-1",
+    "-0x1.bbcc009016adcp-2", "-0x1.30e507891e27ap-3", "0x1.30e507891e27ap-3",
+    "0x1.bbcc009016adcp-2", "0x1.5bdb9228de198p-1", "0x1.bae995e9cb2f3p-1",
+    "0x1.f2a3e062af2d8p-1")])
+_WEIGHTS = np.array([float.fromhex(h) for h in (
+    "0x1.1115f8b62dc1fp-4", "0x1.32138c878efdep-3", "0x1.c0b059d00bc30p-3",
+    "0x1.13baa7a559c01p-2", "0x1.2e9de7014d6eep-2", "0x1.2e9de7014d6eep-2",
+    "0x1.13baa7a559c01p-2", "0x1.c0b059d00bc30p-3", "0x1.32138c878efdep-3",
+    "0x1.1115f8b62dc1fp-4")])
 # refinement stops at this many panels, converged or not
 _MAX_PANELS = 300
 # relative accuracy asked for on top of the absolute tolerance

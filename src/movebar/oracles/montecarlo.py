@@ -21,23 +21,27 @@ for every n_steps >= k.
 
 The blocks are padded to chunks of one width, the fewest chunks of at most
 _CHUNK pairs, which run on a thread pool with one thread per available
-core.  They write their paths' terminal x and survival weights into
-(2, blocks, _BLOCK) arrays shared by all chunks; the padding is dropped
-before the reduction.  A worker draws _SLAB steps of its chunk's normals
-into a block-major (blocks, steps, _BLOCK) slab, each block's stream
-filling its own part in place, scales them by sigma sqrt(dt) in one
-multiply, walks them and draws the next slab, so its memory does not grow
-with n_steps.  No lock is taken: the draws are long calls that release the
-interpreter lock, and a walk step is 9 numpy calls over a whole chunk row
-of up to 32,768 paths, so two walks trade the interpreter lock far less
-often than on short rows.
-The estimate is reduced once at the end, its standard error from the pair
-means, so it is bit-identical for a given (seed, n_paths, n_steps) whatever
-the thread count or chunk size.  Each worker's buffers (at most about 2.5 MB:
-the 2 MB slab, the other x and the crossing exponent) are allocated by the
-calling thread and reused for every chunk: buffers allocated and freed on
-the worker threads stay cached in the allocator's per-thread arenas, and
-the peak memory then depends on which thread ran which chunk.
+core.  A worker walks a chunk's x in its own buffers and writes only the
+chunk's survival weights and pair means into arrays shared by all chunks:
+w, (2, blocks, _BLOCK), and the pair means, (blocks, _BLOCK), 12 B per
+path.  A worker draws _SLAB steps of its chunk's normals into a
+block-major (blocks, steps, _BLOCK) slab, each block's stream filling its
+own part in place, scales them by sigma sqrt(dt) in one multiply, walks
+them and draws the next slab, so its memory does not grow with n_steps.
+Once the chunk is walked, the worker turns its terminal x in place into
+discounted, weighted payoffs and sums each pair's two, so no whole-array
+payoff is ever formed.  No lock is taken: the draws are long calls that
+release the interpreter lock, and a walk step is 9 numpy calls over a
+whole chunk row of up to 32,768 paths, so two walks trade the interpreter
+lock far less often than on short rows.
+The pair means and the knockout fraction are reduced once at the end, with
+the padding dropped, and the standard error comes from the pair means, so
+the estimate is bit-identical for a given (seed, n_paths, n_steps) whatever
+the thread count or chunk size.  Each worker's buffers (at most about
+2.8 MB: the 2 MB slab, two x and the crossing exponent) are allocated by
+the calling thread and reused for every chunk: buffers allocated and freed
+on the worker threads stay cached in the allocator's per-thread arenas,
+and the peak memory then depends on which thread ran which chunk.
 """
 from __future__ import annotations
 
@@ -102,14 +106,15 @@ def _pool_size() -> int:
 
 def _walk_chunk(seed, lo, x, w, drift, sd, coef, buf):
     """Walk the antithetic pairs of the chunk whose first pair is lo, in
-    x = ln(S/h(t)).
+    x = ln(S/h(t)), and return the array that holds their terminal x.
 
     ``x`` and ``w`` are (2, blocks, _BLOCK) arrays of start x and survival
-    weight 1, the paths walking +z in row 0 and -z in row 1, and are left at
-    their terminal values.  ``coef`` is -2 / variance per step.  ``buf``
-    holds the worker's buffers in the chunk's shapes: a (blocks, _SLAB,
-    _BLOCK) slab of normals, the other x and the crossing exponent.  Runs on
-    worker threads, so it calls only numpy."""
+    weight 1, the paths walking +z in row 0 and -z in row 1; w is left at
+    the terminal weights.  ``coef`` is -2 / variance per step.  ``buf``
+    holds the worker's other buffers in the chunk's shapes: a (blocks,
+    _SLAB, _BLOCK) slab of normals, the other x and the crossing exponent;
+    the walk alternates between x and the other x.  Runs on worker
+    threads, so it calls only numpy."""
     slab, x_b, e = buf
     x_a = x
     streams = _block_streams(seed, lo, lo + x.shape[1] * _BLOCK)
@@ -129,8 +134,31 @@ def _walk_chunk(seed, lo, x, w, drift, sd, coef, buf):
             np.subtract(1.0, e, out=e)
             np.multiply(w, e, out=w)
             x_a, x_b = x_b, x_a
-    if x_a is not x:
-        x[...] = x_a
+    return x_a
+
+
+def _pair_means(x, w, out, contract, disc, spare):
+    """Turn x, the terminal x of a chunk's pairs, in place into their
+    discounted, weighted payoffs and write the pair means to ``out``.
+
+    ``w`` holds the pairs' survival weights and ``spare`` is a buffer of
+    x's shape; both as in _walk_chunk.  Runs on worker threads."""
+    # a far spot can overflow the payoffs; mc_price reports that as an
+    # AccuracyError, not as a warning (errstate is per thread)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.exp(x, out=x)
+        np.multiply(contract.barrier.h_T, x, out=x)
+        if contract.side == "call":
+            np.subtract(x, contract.strike, out=x)
+        else:
+            np.subtract(contract.strike, x, out=x)
+        np.maximum(x, 0.0, out=x)
+        np.multiply(disc, x, out=x)
+        if contract.style == "down_and_in":
+            w = np.subtract(1.0, w, out=spare)
+        np.multiply(x, w, out=x)
+        np.add(x[0], x[1], out=out)
+        np.multiply(0.5, out, out=out)
 
 
 def mc_price(S: float, t: float, contract: BarrierContract,
@@ -166,36 +194,43 @@ def mc_price(S: float, t: float, contract: BarrierContract,
     pairs = n_paths // 2
     # pair _BLOCK * b + j is column j of block b, row 0 walking +z and row 1
     # -z; the blocks are padded to chunks of one width, at most _CHUNK
-    # pairs, and the padding is dropped before the reduction
+    # pairs, and the padding is dropped before the final reduction
     blocks = -(-pairs // _BLOCK)
     chunks = -(-blocks // (_CHUNK // _BLOCK))
     width = -(-blocks // chunks)
-    x = np.full((2, chunks * width, _BLOCK), co.x)
-    w = np.ones(x.shape)
+    w = np.ones((2, chunks * width, _BLOCK))
+    means = np.empty((chunks * width, _BLOCK))
     starts = range(0, chunks * width, width)
     workers = min(_pool_size(), chunks)
-    bufs = [(np.empty((width, _SLAB, _BLOCK)), np.empty((2, width, _BLOCK)),
-             np.empty((2, width, _BLOCK))) for _ in range(workers)]
+    bufs = [(np.empty((2, width, _BLOCK)), np.empty((width, _SLAB, _BLOCK)),
+             np.empty((2, width, _BLOCK)), np.empty((2, width, _BLOCK)))
+            for _ in range(workers)]
     coef = -2.0 / var
 
-    def walk(k):
-        # worker k walks every workers-th chunk with its own buffers
+    def price_chunks(k):
+        # worker k walks and prices every workers-th chunk with its own
+        # buffers
+        x, *buf = bufs[k]
         for b in starts[k::workers]:
-            _walk_chunk(int(seed), b * _BLOCK, x[:, b:b + width],
-                        w[:, b:b + width], drift, sd, coef, bufs[k])
+            chunk_w = w[:, b:b + width]
+            x.fill(co.x)
+            x_T = _walk_chunk(int(seed), b * _BLOCK, x, chunk_w, drift, sd,
+                              coef, buf)
+            _pair_means(x_T, chunk_w, means[b:b + width], contract, disc,
+                        buf[2])
 
     with ThreadPoolExecutor(workers) as pool:
-        for future in [pool.submit(walk, k) for k in range(workers)]:
+        for future in [pool.submit(price_chunks, k) for k in range(workers)]:
             future.result()
     del bufs
-    x, w = x.reshape(2, -1)[:, :pairs], w.reshape(2, -1)[:, :pairs]
-    # a far spot can overflow the payoffs or their spread; that is reported
+    # the padding is dropped here; w is freed before the pair means are
+    # reduced, so 1 - w and their temporaries are never held together
+    knockout_fraction = float(np.mean(1.0 - w.reshape(2, -1)[:, :pairs]))
+    del w
+    pair_means = means.reshape(-1)[:pairs]
+    # a far spot can overflow the spread of the pair means; that is reported
     # below as an AccuracyError, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        s_T, K = contract.barrier.h_T * np.exp(x), contract.strike
-        pay = np.maximum(s_T - K if contract.side == "call" else K - s_T, 0.0)
-        weight = (1.0 - w) if contract.style == "down_and_in" else w
-        pair_means = 0.5 * (disc * pay * weight).sum(axis=0)
         price = float(np.mean(pair_means))
         std_error = float(np.std(pair_means, ddof=1) / math.sqrt(pairs))
     for name, value in (("price", price), ("std_error", std_error)):
@@ -207,5 +242,5 @@ def mc_price(S: float, t: float, contract: BarrierContract,
     scaled = pair_means / (peak or 1.0)
     ess = float(np.sum(scaled) ** 2 / np.sum(scaled * scaled)) if peak else 0.0
     return McEstimate(price=price, std_error=std_error, n_paths=n_paths,
-                      n_steps=steps, knockout_fraction=float(np.mean(1.0 - w)),
+                      n_steps=steps, knockout_fraction=knockout_fraction,
                       ess=ess)

@@ -98,10 +98,13 @@ def pde_price(S: float, t: float, contract: BarrierContract,
     as vanilla minus knockout.  (S, t) must pass to_heat_coords' rule.  A
     grid whose cell Peclet number |C + 1/2| dx exceeds 1 raises
     AccuracyError, unless the contract is a put struck at or below h_T
-    (worth exactly 0).  If tol is given the solve is repeated on a
-    half-resolution grid and a Richardson error estimate above tol raises
-    AccuracyError; a tol that is not a positive finite number raises
-    DomainError.
+    (worth exactly 0); so does a grid whose spacing dx exceeds sqrt(tau),
+    the standard deviation of the whole diffusion, with the same exemption.
+    If tol is given the solve is repeated on a half-resolution grid and a
+    Richardson error estimate above tol raises AccuracyError; a tol that is
+    not a positive finite number raises DomainError.  The half-resolution
+    grid has twice the spacing, so it can meet either refusal where the full
+    grid passes.
     """
     if tol is not None:
         check_tolerance("tol", tol)
@@ -125,7 +128,8 @@ def pde_price(S: float, t: float, contract: BarrierContract,
 def _solve(S: float, t: float, contract: BarrierContract, grid: PdeGrid) -> float:
     cs = contract.curves
     h_T, C, K = contract.barrier.h_T, contract.barrier.C, contract.strike
-    x_eval = to_heat_coords(S, t, contract).x
+    co = to_heat_coords(S, t, contract)
+    x_eval = co.x
     if x_eval > grid.x_max:
         raise DomainError(f"x={x_eval:.4f} outside grid [0, {grid.x_max:.4f}]")
     try:  # the terminal spots and the call boundary reach h_T*exp(x_max)
@@ -156,6 +160,16 @@ def _solve(S: float, t: float, contract: BarrierContract, grid: PdeGrid) -> floa
             f"C={C} on n_space={n}: the lattice cannot resolve the "
             f"convection; n_space={math.ceil(abs(C + 0.5) * grid.x_max)} "
             f"brings it to 1")
+    # nodes wider apart than the whole diffusion's standard deviation miss
+    # the spread of the value around the spot, with the same exemption
+    sd = math.sqrt(co.tau)
+    if dx > sd and (is_call or K > h_T):
+        brings = (f"n_space={math.ceil(grid.x_max / sd)} brings dx to "
+                  f"sqrt(tau)" if sd > 0.0 else "no n_space resolves it")
+        raise AccuracyError(
+            f"grid spacing dx = {dx:.3g} exceeds sqrt(tau) = {sd:.3g}, the "
+            f"standard deviation of the whole diffusion, on n_space={n}: the "
+            f"lattice cannot resolve it; {brings}")
 
     times = _time_grid(t, contract.expiry, grid.n_time, contract)
 

@@ -277,6 +277,15 @@ def test_cli_import_leaves_heavy_scipy_subpackages_out():
     assert proc.stdout.strip() == "[]"
 
 
+def test_oracle_import_leaves_numpy_polynomial_out():
+    # the quadrature's Gauss-Legendre rule is written out, not computed
+    proc = _fresh_python(
+        "import sys, movebar.oracles; "
+        "print('numpy.polynomial' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 PAIR = ["--curves", TWO_PIECE, "--contract", KNOCKOUT_CALL,
         "--spot", "100", "--time", "0"]
 

@@ -8,9 +8,17 @@ import pytest
 
 import movebar as mb
 from movebar import AccuracyError, DomainError, heat_kernel_price, to_heat_coords
-from movebar.oracles.heatkernel import _MAX_PANELS, _adaptive_gauss
+from movebar.oracles.heatkernel import (_MAX_PANELS, _NODES, _WEIGHTS,
+                                        _adaptive_gauss)
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
+
+
+def test_gauss_rule_is_numpys_leggauss():
+    # written out bit for bit, so the quadrature keeps its bits
+    nodes, weights = np.polynomial.legendre.leggauss(10)
+    assert [v.hex() for v in _NODES] == [v.hex() for v in nodes]
+    assert [v.hex() for v in _WEIGHTS] == [v.hex() for v in weights]
 
 
 def test_coordinates_anchor(const_contract):

@@ -100,6 +100,32 @@ def test_estimate_keeps_its_bits(td_contract, shape, bits):
             est.knockout_fraction.hex()) == bits
 
 
+# float.hex of (price, std_error, knockout_fraction, ess) on the two-piece
+# curves with C = 0 at S 100, recorded while the payoffs were formed over
+# the whole (2, pairs) array after the walk.  50,001 pairs fill four chunks
+# of 49 blocks and 125,001 pairs eight of 62, the last block of each padded.
+# The ess of the second takes its last bit from numpy's SIMD kernels: the
+# first value is with AVX-512, the second without.
+_PINNED_MULTI_CHUNK = [
+    (("put", "down_and_in", 100_002, 8, 23),
+     ("0x1.ecb64d36a5cfdp+2", "0x1.9540c9d51fe64p-6", "0x1.36084593d7118p-1",
+      ("0x1.01a6df396369cp+15",))),
+    (("call", "down_and_out", 250_002, 5, 29),
+     ("0x1.1cedf12842fc0p+3", "0x1.babf1c97c704bp-6", "0x1.369a1ddc92719p-1",
+      ("0x1.c5ef451168802p+15", "0x1.c5ef451168803p+15"))),
+]
+
+
+@pytest.mark.parametrize("shape,bits", _PINNED_MULTI_CHUNK)
+def test_multi_chunk_estimate_keeps_its_bits(td_contract, shape, bits):
+    side, style, n_paths, n_steps, seed = shape
+    est = mc_price(100.0, 0.0, td_contract(0.0, side=side, style=style),
+                   n_paths=n_paths, n_steps=n_steps, seed=seed)
+    assert (est.price.hex(), est.std_error.hex(),
+            est.knockout_fraction.hex()) == bits[:3]
+    assert est.ess.hex() in bits[3]
+
+
 def test_clamped_exponent_leaves_the_weight_factor_unchanged():
     # below the clamp exp(e) < 2**-54, so 1 - exp(e) rounds to exactly 1.0
     expo = np.linspace(-745.2, _E_MIN, 200_001)
@@ -303,6 +329,26 @@ def test_memory_does_not_grow_with_the_step_count(const_contract):
         finally:
             tracemalloc.stop()
     assert max(peaks) - min(peaks) <= 2 ** 20
+
+
+@pytest.mark.parametrize("style", ["down_and_out", "down_and_in"])
+def test_memory_per_path_is_the_weights_and_the_pair_means(const_contract,
+                                                           style, monkeypatch):
+    # w (8 B per path) and the pair means (4 B) stay, plus 8 B for the
+    # knockout fraction's 1 - w; each worker's buffers (2.8 MB) do not grow
+    # with n_paths, so at most two are counted on a machine of many cores
+    import movebar.oracles.montecarlo as mc_mod
+    pool = mc_mod._pool_size
+    monkeypatch.setattr(mc_mod, "_pool_size", lambda: min(pool(), 2))
+    con = dataclasses.replace(const_contract, style=style)
+    n_paths = 2_000_000
+    tracemalloc.start()
+    try:
+        mc_price(100.0, 0.0, con, n_paths=n_paths, n_steps=4, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * n_paths
 
 
 def test_effective_sample_size_flags_a_few_carrying_pairs(td_contract):

@@ -89,6 +89,48 @@ def test_unresolved_convection_is_an_accuracy_error(C, side, S, h_T):
         pde_price(S, 0.0, _flat(C, side, h_T))
 
 
+# dx / sqrt(tau) of the default grid on h_T 50 at C 0 (cell Peclet number
+# 0.5 dx): 0.32 at S 1e12, 1.7 at 1e50 and 3.5 at 1e100, where the lattice
+# was 2.3e-4 and 5.9e-3 relative off without an error
+@pytest.mark.parametrize("S,side,h_T,n_space", [
+    (1e50, "call", 50.0, 694), (1e100, "call", 50.0, 1387),
+    (1e50, "put", 90.0, 562), (1e100, "put", 90.0, 1137)])
+def test_grid_wider_than_the_diffusion_is_an_accuracy_error(S, side, h_T,
+                                                            n_space):
+    with pytest.raises(AccuracyError, match=r"exceeds sqrt\(tau\) = 0\.2,.*"
+                       f"on n_space=400.*n_space={n_space} brings"):
+        pde_price(S, 0.0, _flat(0.0, side, h_T))
+
+
+def test_diffusion_that_underflows_to_zero_names_no_grid():
+    # sigma^2 (T - t) = 1e-16 * 1e-310 underflows: tau is exactly 0
+    curves = mb.CurveSet.constant(0.05, 0.0, 1e-8)
+    con = mb.BarrierContract(
+        strike=100.0, expiry=1e-310, side="call", style="down_and_out",
+        barrier=mb.barrier_from_terminal(90.0, 0.0, curves, 1e-310))
+    with pytest.raises(AccuracyError, match="no n_space resolves it$"):
+        pde_price(150.0, 0.0, con)
+
+
+def test_grid_within_the_diffusion_prices_a_far_spot():
+    con = _flat(0.0, h_T=50.0)
+    closed = mb.down_and_out_call(1e12, 0.0, con).price
+    assert abs(pde_price(1e12, 0.0, con) - closed) / closed <= 1e-5
+
+
+def test_put_below_the_barrier_is_exempt_from_the_resolution_refusal():
+    # K 100 <= h_T 110: the put pays nothing above the barrier
+    assert pde_price(1e100, 0.0, _flat(0.0, "put", 110.0)) == 0.0
+
+
+def test_half_grid_can_meet_the_resolution_refusal():
+    # dx / sqrt(tau) is 0.75 on the default grid and 1.5 on the half grid
+    con = _flat(0.0, h_T=50.0)
+    pde_price(1e27, 0.0, con)
+    with pytest.raises(AccuracyError, match="sqrt.*on n_space=200"):
+        pde_price(1e27, 0.0, con, tol=1.0)
+
+
 def test_for_contract_rejects_spot_below_barrier(const_contract):
     lev = const_contract.barrier.level(0.0)
     with pytest.raises(DomainError):
