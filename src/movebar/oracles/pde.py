@@ -97,9 +97,10 @@ def pde_price(S: float, t: float, contract: BarrierContract,
     Knock-in styles have no absorbing-boundary PDE of their own; price them
     as vanilla minus knockout.  (S, t) must pass to_heat_coords' rule.  A
     grid whose cell Peclet number |C + 1/2| dx exceeds 1 raises
-    AccuracyError, unless the contract is a put struck at or below h_T
-    (worth exactly 0); so does a grid whose spacing dx exceeds sqrt(tau),
-    the standard deviation of the whole diffusion, with the same exemption.
+    AccuracyError, and so does a grid whose spacing dx exceeds sqrt(tau),
+    the standard deviation of the whole diffusion, when the payoff kink or
+    the barrier lies within 8 sqrt(tau) of the spot; a put struck at or
+    below h_T (worth exactly 0) is exempt from both.
     If tol is given the solve is repeated on a half-resolution grid and a
     Richardson error estimate above tol raises AccuracyError; a tol that is
     not a positive finite number raises DomainError.  The half-resolution
@@ -150,26 +151,28 @@ def _solve(S: float, t: float, contract: BarrierContract, grid: PdeGrid) -> floa
     spots_T = h_T * np.exp(x)
     v[:] = np.maximum(spots_T - K, 0.0) if is_call else np.maximum(K - spots_T, 0.0)
     v[0] = 0.0
-    # central convection oscillates beyond cell Peclet number 1; a put
-    # struck at or below h_T pays nothing above the barrier and solves to
-    # exactly 0 all the same
-    peclet = abs(C + 0.5) * dx
-    if peclet > 1.0 and (is_call or K > h_T):
-        raise AccuracyError(
-            f"cell Peclet number |C + 1/2| dx = {peclet:.3g} exceeds 1 at "
-            f"C={C} on n_space={n}: the lattice cannot resolve the "
-            f"convection; n_space={math.ceil(abs(C + 0.5) * grid.x_max)} "
-            f"brings it to 1")
-    # nodes wider apart than the whole diffusion's standard deviation miss
-    # the spread of the value around the spot, with the same exemption
-    sd = math.sqrt(co.tau)
-    if dx > sd and (is_call or K > h_T):
-        brings = (f"n_space={math.ceil(grid.x_max / sd)} brings dx to "
-                  f"sqrt(tau)" if sd > 0.0 else "no n_space resolves it")
-        raise AccuracyError(
-            f"grid spacing dx = {dx:.3g} exceeds sqrt(tau) = {sd:.3g}, the "
-            f"standard deviation of the whole diffusion, on n_space={n}: the "
-            f"lattice cannot resolve it; {brings}")
+    # the widest spacing the lattice resolves: central convection oscillates
+    # beyond cell Peclet number |C + 1/2| dx = 1, and where the payoff kink
+    # or the barrier lies within the diffusion's reach of the spot, nodes
+    # wider apart than sqrt(tau), its standard deviation, miss the value's
+    # bend there.  A put struck at or below h_T pays nothing above the
+    # barrier and solves to exactly 0 all the same
+    if is_call or K > h_T:
+        sd = math.sqrt(co.tau)
+        kink = math.log(K) - math.log(h_T)
+        limits = [(1.0 / abs(C + 0.5) if C != -0.5 else math.inf,
+                   f"1 / |C + 1/2|, where the cell Peclet number reaches 1 "
+                   f"at C={C}")]
+        if min(x_eval, abs(x_eval - kink)) < _DOMAIN_SDS * sd:
+            limits.append((sd, "sqrt(tau), the diffusion's standard "
+                           "deviation, the kink or the barrier lying within "
+                           f"{_DOMAIN_SDS:g} sqrt(tau) of the spot"))
+        spacing, name = min(limits)
+        if dx > spacing:
+            raise AccuracyError(
+                f"grid spacing dx = {dx:.3g} on n_space={n} exceeds "
+                f"{spacing:.3g} = {name}: the lattice cannot resolve it; "
+                f"n_space={math.ceil(grid.x_max / spacing)} brings dx there")
 
     times = _time_grid(t, contract.expiry, grid.n_time, contract)
 

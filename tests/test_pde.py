@@ -63,11 +63,11 @@ def test_kink_next_to_the_barrier_keeps_the_domain(h_T):
     assert abs(pde_price(110.0, 0.0, con) - closed) / closed <= 1e-5
 
 
-def _flat(C, side="call", h_T=90.0):
-    curves = mb.CurveSet.constant(0.05, 0.01, 0.2)
-    return mb.BarrierContract(strike=100.0, expiry=1.0, side=side,
+def _flat(C, side="call", h_T=90.0, K=100.0, T=1.0, sigma=0.2):
+    curves = mb.CurveSet.constant(0.05, 0.01, sigma)
+    return mb.BarrierContract(strike=K, expiry=T, side=side,
                               style="down_and_out",
-                              barrier=mb.barrier_from_terminal(h_T, C, curves, 1.0))
+                              barrier=mb.barrier_from_terminal(h_T, C, curves, T))
 
 
 def test_kink_snap_keeps_a_far_spot_on_the_grid():
@@ -89,45 +89,46 @@ def test_unresolved_convection_is_an_accuracy_error(C, side, S, h_T):
         pde_price(S, 0.0, _flat(C, side, h_T))
 
 
-# dx / sqrt(tau) of the default grid on h_T 50 at C 0 (cell Peclet number
-# 0.5 dx): 0.32 at S 1e12, 1.7 at 1e50 and 3.5 at 1e100, where the lattice
-# was 2.3e-4 and 5.9e-3 relative off without an error
-@pytest.mark.parametrize("S,side,h_T,n_space", [
-    (1e50, "call", 50.0, 694), (1e100, "call", 50.0, 1387),
-    (1e50, "put", 90.0, 562), (1e100, "put", 90.0, 1137)])
-def test_grid_wider_than_the_diffusion_is_an_accuracy_error(S, side, h_T,
-                                                            n_space):
-    with pytest.raises(AccuracyError, match=r"exceeds sqrt\(tau\) = 0\.2,.*"
-                       f"on n_space=400.*n_space={n_space} brings"):
-        pde_price(S, 0.0, _flat(0.0, side, h_T))
+SECOND = 1.0 / (365 * 24 * 3600)
 
 
-def test_diffusion_that_underflows_to_zero_names_no_grid():
-    # sigma^2 (T - t) = 1e-16 * 1e-310 underflows: tau is exactly 0
-    curves = mb.CurveSet.constant(0.05, 0.0, 1e-8)
-    con = mb.BarrierContract(
-        strike=100.0, expiry=1e-310, side="call", style="down_and_out",
-        barrier=mb.barrier_from_terminal(90.0, 0.0, curves, 1e-310))
-    with pytest.raises(AccuracyError, match="no n_space resolves it$"):
-        pde_price(150.0, 0.0, con)
+# dx / sqrt(tau) of the default grid with the kink or the barrier within
+# 8 sqrt(tau) of the spot, and the lattice's relative error without the
+# refusal: 1.12 with S = K = 1e40 on h_T 50 (call 0.13, put 0.21), 7.4 at
+# the money and 5 sqrt(tau) above the barrier a second before expiry
+# (call 0.83, put 0.18)
+@pytest.mark.parametrize("S,side,h_T,K,T,n_space", [
+    (1e40, "call", 50.0, 1e40, 1.0, 449), (1e40, "put", 50.0, 1e40, 1.0, 449),
+    (100.0, "call", 90.0, 100.0, SECOND, 2966),
+    (90.0 * math.exp(5 * 0.2 * math.sqrt(SECOND)), "put", 90.0, 100.0, SECOND,
+     2966)], ids=["kink-call", "kink-put", "expiry-kink", "expiry-barrier"])
+def test_unresolved_diffusion_near_kink_or_barrier_is_an_accuracy_error(
+        S, side, h_T, K, T, n_space):
+    with pytest.raises(AccuracyError, match=r"on n_space=400 exceeds .* = "
+                       rf"sqrt\(tau\).*n_space={n_space} brings"):
+        pde_price(S, 0.0, _flat(0.0, side, h_T, K, T))
 
 
-def test_grid_within_the_diffusion_prices_a_far_spot():
-    con = _flat(0.0, h_T=50.0)
-    closed = mb.down_and_out_call(1e12, 0.0, con).price
-    assert abs(pde_price(1e12, 0.0, con) - closed) / closed <= 1e-5
-
-
-def test_put_below_the_barrier_is_exempt_from_the_resolution_refusal():
-    # K 100 <= h_T 110: the put pays nothing above the barrier
-    assert pde_price(1e100, 0.0, _flat(0.0, "put", 110.0)) == 0.0
+# dx / sqrt(tau) above 1 is harmless hundreds of sqrt(tau) from the kink and
+# the barrier, where the value is the forward: 2.0 and 1.03 near expiry,
+# tau underflowing to 0 (sigma^2 (T - t) = 1e-16 * 1e-310, where the closed
+# form refuses and the value is the payoff, 50), and 0.32 at S 1e12
+@pytest.mark.parametrize("S,h_T,T,sigma,rel", [
+    (150.0, 90.0, 1e-5, 0.2, 1e-12), (1000.0, 90.0, 8 * 3600 * SECOND, 0.2, 1e-9),
+    (150.0, 90.0, 1e-310, 1e-8, 1e-12), (1e12, 50.0, 1.0, 0.2, 1e-5)],
+    ids=["1e-5", "8h", "tau-0", "far-spot"])
+def test_spot_far_from_kink_and_barrier_prices(S, h_T, T, sigma, rel):
+    con = _flat(0.0, h_T=h_T, T=T, sigma=sigma)
+    closed = 50.0 if T == 1e-310 else mb.down_and_out_call(S, 0.0, con).price
+    assert pde_price(S, 0.0, con) == pytest.approx(closed, rel=rel)
 
 
 def test_half_grid_can_meet_the_resolution_refusal():
-    # dx / sqrt(tau) is 0.75 on the default grid and 1.5 on the half grid
-    con = _flat(0.0, h_T=50.0)
+    # S = K = 1e27 on h_T 50: dx / sqrt(tau) is 0.75 on the default grid
+    # and 1.5 on the half grid
+    con = _flat(0.0, h_T=50.0, K=1e27)
     pde_price(1e27, 0.0, con)
-    with pytest.raises(AccuracyError, match="sqrt.*on n_space=200"):
+    with pytest.raises(AccuracyError, match="on n_space=200 .*sqrt"):
         pde_price(1e27, 0.0, con, tol=1.0)
 
 
