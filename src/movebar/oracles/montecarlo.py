@@ -20,14 +20,15 @@ normals thus depend only on (seed, pair), and its first k steps are the same
 for every n_steps >= k.
 
 The blocks are padded to chunks of one width, the fewest chunks of at most
-_CHUNK pairs, which run on a thread pool with one thread per available
-core.  A worker walks a chunk's x in its own buffers and writes only the
-chunk's survival weights and pair means into arrays shared by all chunks:
-w, (2, blocks, _BLOCK), and the pair means, (blocks, _BLOCK), 12 B per
-path.  A worker draws _SLAB steps of its chunk's normals into a
-block-major (blocks, steps, _BLOCK) slab, each block's stream filling its
-own part in place, scales them by sigma sqrt(dt) in one multiply, walks
-them and draws the next slab, so its memory does not grow with n_steps.
+_CHUNK pairs, which run on one worker per available core: the calling
+thread is worker 0 and plain threads run the others.  A worker walks a
+chunk's x in its own buffers and writes only the chunk's survival weights
+and pair means into arrays shared by all chunks: w, (2, blocks, _BLOCK),
+and the pair means, (blocks, _BLOCK), 12 B per path.  A worker draws
+_SLAB steps of its chunk's normals into a block-major (blocks, steps,
+_BLOCK) slab, each block's stream filling its own part in place, scales
+them by sigma sqrt(dt) in one multiply, walks them and draws the next
+slab, so its memory does not grow with n_steps.
 Once the chunk is walked, the worker turns its terminal x in place into
 discounted, weighted payoffs and sums each pair's two, so no whole-array
 payoff is ever formed.  No lock is taken: the draws are long calls that
@@ -38,17 +39,17 @@ The pair means and the knockout fraction are reduced once at the end, with
 the padding dropped, and the standard error comes from the pair means, so
 the estimate is bit-identical for a given (seed, n_paths, n_steps) whatever
 the thread count or chunk size.  Each worker's buffers (at most about
-2.8 MB: the 2 MB slab, two x and the crossing exponent) are allocated by
-the calling thread and reused for every chunk: buffers allocated and freed
-on the worker threads stay cached in the allocator's per-thread arenas,
-and the peak memory then depends on which thread ran which chunk.
+1.5 MB: the 1 MB slab and two x) are allocated by the calling thread and
+reused for every chunk: buffers allocated and freed on the worker threads
+stay cached in the allocator's per-thread arenas, and the peak memory then
+depends on which thread ran which chunk.
 """
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from threading import Thread
 
 import numpy as np
 
@@ -59,7 +60,7 @@ from .pde import _time_grid
 
 _BLOCK = 256  # pairs per seeded stream; fixes the estimate's bits
 _CHUNK = 16384  # most pairs per task, whole blocks: 32,768 paths per numpy call
-_SLAB = 16  # steps of normals drawn ahead of the walk: 2 MB per chunk
+_SLAB = 8  # steps of normals drawn ahead of the walk: 1 MB per chunk
 # floor of the crossing exponent: exp(e) < 2**-54 for e <= -37.5, so
 # 1 - exp(e) is exactly 1.0 there and the clamp changes no weight
 _E_MIN = -40.0
@@ -106,16 +107,16 @@ def _pool_size() -> int:
 
 def _walk_chunk(seed, lo, x, w, drift, sd, coef, buf):
     """Walk the antithetic pairs of the chunk whose first pair is lo, in
-    x = ln(S/h(t)), and return the array that holds their terminal x.
+    x = ln(S/h(t)), and return (terminal x, the other x buffer).
 
     ``x`` and ``w`` are (2, blocks, _BLOCK) arrays of start x and survival
     weight 1, the paths walking +z in row 0 and -z in row 1; w is left at
     the terminal weights.  ``coef`` is -2 / variance per step.  ``buf``
     holds the worker's other buffers in the chunk's shapes: a (blocks,
-    _SLAB, _BLOCK) slab of normals, the other x and the crossing exponent;
-    the walk alternates between x and the other x.  Runs on worker
-    threads, so it calls only numpy."""
-    slab, x_b, e = buf
+    _SLAB, _BLOCK) slab of normals and the other x.  Each step writes the
+    new x into the other x and forms the crossing exponent in place of the
+    old one.  Runs on worker threads, so it calls only numpy."""
+    slab, x_b = buf
     x_a = x
     streams = _block_streams(seed, lo, lo + x.shape[1] * _BLOCK)
     for s0 in range(0, len(coef), _SLAB):
@@ -127,14 +128,14 @@ def _walk_chunk(seed, lo, x, w, drift, sd, coef, buf):
             np.add(x_b[0], dz, out=x_b[0])
             np.subtract(x_b[1], dz, out=x_b[1])
             # exponent >= 0 iff an endpoint is at/below the barrier: p = 1
-            np.multiply(x_a, x_b, out=e)
+            e = np.multiply(x_a, x_b, out=x_a)
             np.multiply(e, coef[i], out=e)
             np.clip(e, _E_MIN, 0.0, out=e)
             np.exp(e, out=e)
             np.subtract(1.0, e, out=e)
             np.multiply(w, e, out=w)
             x_a, x_b = x_b, x_a
-    return x_a
+    return x_a, x_b
 
 
 def _pair_means(x, w, out, contract, disc, spare):
@@ -142,7 +143,8 @@ def _pair_means(x, w, out, contract, disc, spare):
     discounted, weighted payoffs and write the pair means to ``out``.
 
     ``w`` holds the pairs' survival weights and ``spare`` is a buffer of
-    x's shape; both as in _walk_chunk.  Runs on worker threads."""
+    x's shape, the walk's other x; both as in _walk_chunk.  Runs on worker
+    threads."""
     # a far spot can overflow the payoffs; mc_price reports that as an
     # AccuracyError, not as a warning (errstate is per thread)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -203,25 +205,36 @@ def mc_price(S: float, t: float, contract: BarrierContract,
     starts = range(0, chunks * width, width)
     workers = min(_pool_size(), chunks)
     bufs = [(np.empty((2, width, _BLOCK)), np.empty((width, _SLAB, _BLOCK)),
-             np.empty((2, width, _BLOCK)), np.empty((2, width, _BLOCK)))
+             np.empty((2, width, _BLOCK)))
             for _ in range(workers)]
     coef = -2.0 / var
+    errors = []
 
     def price_chunks(k):
         # worker k walks and prices every workers-th chunk with its own
-        # buffers
+        # buffers; the walk may leave the terminal x in either x buffer
         x, *buf = bufs[k]
-        for b in starts[k::workers]:
-            chunk_w = w[:, b:b + width]
-            x.fill(co.x)
-            x_T = _walk_chunk(int(seed), b * _BLOCK, x, chunk_w, drift, sd,
-                              coef, buf)
-            _pair_means(x_T, chunk_w, means[b:b + width], contract, disc,
-                        buf[2])
+        try:
+            for b in starts[k::workers]:
+                chunk_w = w[:, b:b + width]
+                x.fill(co.x)
+                x_T, spare = _walk_chunk(int(seed), b * _BLOCK, x, chunk_w,
+                                         drift, sd, coef, buf)
+                _pair_means(x_T, chunk_w, means[b:b + width], contract, disc,
+                            spare)
+        except BaseException as exc:  # raised once every worker has ended
+            errors.append(exc)
 
-    with ThreadPoolExecutor(workers) as pool:
-        for future in [pool.submit(price_chunks, k) for k in range(workers)]:
-            future.result()
+    # the calling thread is worker 0
+    threads = [Thread(target=price_chunks, args=(k,))
+               for k in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    price_chunks(0)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
     del bufs
     # the padding is dropped here; w is freed before the pair means are
     # reduced, so 1 - w and their temporaries are never held together

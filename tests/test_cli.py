@@ -290,6 +290,15 @@ def test_oracle_import_leaves_numpy_polynomial_out():
     assert proc.stdout.split() == ["False", "False"]
 
 
+def test_oracle_import_leaves_the_thread_pool_and_logging_out():
+    # the simulation runs its workers on plain threads
+    proc = _fresh_python(
+        "import sys, movebar.oracles; print(sorted(m for m in "
+        "('concurrent.futures', 'logging') if m in sys.modules))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 PAIR = ["--curves", TWO_PIECE, "--contract", KNOCKOUT_CALL,
         "--spot", "100", "--time", "0"]
 

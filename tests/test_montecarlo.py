@@ -2,6 +2,7 @@
 import dataclasses
 import math
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -124,6 +125,61 @@ def test_multi_chunk_estimate_keeps_its_bits(td_contract, shape, bits):
     assert (est.price.hex(), est.std_error.hex(),
             est.knockout_fraction.hex()) == bits[:3]
     assert est.ess.hex() in bits[3]
+
+
+# float.hex of (price, std_error, knockout_fraction, ess) on the two-piece
+# curves with C = 0 at S 100, recorded with 16-step slabs of normals.  The
+# curve switch at 0.5 adds a step, so n_steps 7, 9, 17 and 33 walk 8, 10,
+# 18 and 34 steps: a whole slab of 8, and short slabs past one, two and four
+# whole slabs.  1501 and 2501 pairs leave the last block partial.  Where
+# numpy's SIMD kernels set last bits, the second record is without AVX-512.
+_PINNED_SLAB_EDGES = [
+    (("call", "down_and_out", 3002, 7, 31),
+     (("0x1.1259d221771d1p+3", "0x1.eb9d703f0662cp-3",
+       "0x1.379b519c02e2bp-1", "0x1.58ea571524f50p+9"),)),
+    (("call", "down_and_out", 3002, 9, 31),
+     (("0x1.17c54f1b317dfp+3", "0x1.eed63ae052419p-3",
+       "0x1.38260f5ced075p-1", "0x1.5dc728c3e0ef8p+9"),)),
+    (("call", "down_and_out", 3002, 17, 31),
+     (("0x1.2549cbd610557p+3", "0x1.08ad3b6b35af0p-2",
+       "0x1.36c1a81145fe7p-1", "0x1.563a73421a284p+9"),
+      ("0x1.2549cbd610558p+3", "0x1.08ad3b6b35af0p-2",
+       "0x1.36c1a81145fe7p-1", "0x1.563a73421a285p+9"))),
+    (("call", "down_and_out", 3002, 33, 31),
+     (("0x1.1e6e88ab559a0p+3", "0x1.f8a1ced7fa47ap-3",
+       "0x1.2f93ce5e12c54p-1", "0x1.5f3ee5859ed2bp+9"),
+      ("0x1.1e6e88ab559a0p+3", "0x1.f8a1ced7fa47ap-3",
+       "0x1.2f93ce5e12c54p-1", "0x1.5f3ee5859ed2ap+9"))),
+    (("put", "down_and_in", 5002, 7, 37),
+     (("0x1.de9f0b9781f2bp+2", "0x1.c462a9b5055f6p-4",
+       "0x1.363feea3c4a5ep-1", "0x1.949f0e2c3d38bp+10"),
+      ("0x1.de9f0b9781f2bp+2", "0x1.c462a9b5055f6p-4",
+       "0x1.363feea3c4a5ep-1", "0x1.949f0e2c3d38cp+10"))),
+    (("put", "down_and_in", 5002, 9, 37),
+     (("0x1.eb3f497f1c975p+2", "0x1.c087bc6cde0b9p-4",
+       "0x1.34c6915fcef2ep-1", "0x1.9e659fd891641p+10"),
+      ("0x1.eb3f497f1c973p+2", "0x1.c087bc6cde0b9p-4",
+       "0x1.34c6915fcef2ep-1", "0x1.9e659fd891641p+10"))),
+    (("put", "down_and_in", 5002, 17, 37),
+     (("0x1.e61e9147b4172p+2", "0x1.c8cdbb46577a3p-4",
+       "0x1.3593bf7a71d4fp-1", "0x1.96482d274c2cep+10"),
+      ("0x1.e61e9147b4170p+2", "0x1.c8cdbb46577a3p-4",
+       "0x1.3593bf7a71d4fp-1", "0x1.96482d274c2cep+10"))),
+    (("put", "down_and_in", 5002, 33, 37),
+     (("0x1.f1c4ba8aab558p+2", "0x1.c90e75676e537p-4",
+       "0x1.33be5babd88b8p-1", "0x1.9cd119c430cadp+10"),
+      ("0x1.f1c4ba8aab558p+2", "0x1.c90e75676e537p-4",
+       "0x1.33be5babd88b8p-1", "0x1.9cd119c430cb0p+10"))),
+]
+
+
+@pytest.mark.parametrize("shape,records", _PINNED_SLAB_EDGES)
+def test_estimate_at_slab_edges_keeps_its_bits(td_contract, shape, records):
+    side, style, n_paths, n_steps, seed = shape
+    est = mc_price(100.0, 0.0, td_contract(0.0, side=side, style=style),
+                   n_paths=n_paths, n_steps=n_steps, seed=seed)
+    assert (est.price.hex(), est.std_error.hex(), est.knockout_fraction.hex(),
+            est.ess.hex()) in records
 
 
 def test_clamped_exponent_leaves_the_weight_factor_unchanged():
@@ -335,7 +391,7 @@ def test_memory_does_not_grow_with_the_step_count(const_contract):
 def test_memory_per_path_is_the_weights_and_the_pair_means(const_contract,
                                                            style, monkeypatch):
     # w (8 B per path) and the pair means (4 B) stay, plus 8 B for the
-    # knockout fraction's 1 - w; each worker's buffers (2.8 MB) do not grow
+    # knockout fraction's 1 - w; each worker's buffers (1.5 MB) do not grow
     # with n_paths, so at most two are counted on a machine of many cores
     import movebar.oracles.montecarlo as mc_mod
     pool = mc_mod._pool_size
@@ -349,6 +405,77 @@ def test_memory_per_path_is_the_weights_and_the_pair_means(const_contract,
     finally:
         tracemalloc.stop()
     assert peak <= 24 * n_paths
+
+
+def test_memory_at_the_triangle_shape(const_contract, monkeypatch):
+    # 131,072 x 256 is four chunks of 64 blocks: w (1 MB), the pair means
+    # (0.5 MB) and the knockout fraction's 1 - w (1 MB), plus two workers'
+    # 1 MB slab and two 256 kB x buffers each
+    import movebar.oracles.montecarlo as mc_mod
+    pool = mc_mod._pool_size
+    monkeypatch.setattr(mc_mod, "_pool_size", lambda: min(pool(), 2))
+    # a first estimate imports numpy.random (0.75 MB) outside the trace
+    mc_price(100.0, 0.0, const_contract, n_paths=4, n_steps=1, seed=1)
+    tracemalloc.start()
+    try:
+        mc_price(100.0, 0.0, const_contract, n_paths=131_072, n_steps=256,
+                 seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.5 * 2 ** 20
+
+
+def test_a_worker_failure_surfaces_after_every_thread_ends(const_contract,
+                                                           monkeypatch):
+    import movebar.oracles.montecarlo as mc_mod
+
+    # six chunks of one block: the calling thread prices chunks 0, 2 and 4,
+    # and worker 1 fails on chunk 1
+    caller = threading.current_thread()
+    pair_means = mc_mod._pair_means
+
+    def failing(*args):
+        if threading.current_thread() is not caller:
+            raise RuntimeError("worker failed")
+        return pair_means(*args)
+
+    monkeypatch.setattr(mc_mod, "_pair_means", failing)
+    monkeypatch.setattr(mc_mod, "_pool_size", lambda: 2)
+    monkeypatch.setattr(mc_mod, "_CHUNK", _BLOCK)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="worker failed"):
+        mc_price(100.0, 0.0, const_contract, n_paths=3000, n_steps=8, seed=3)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("pool, started, own",
+                         [(3, 2, [0, 3]), (1, 0, [0, 1, 2, 3])])
+def test_the_caller_is_worker_zero(const_contract, monkeypatch, pool,
+                                   started, own):
+    # 50,000 pairs fill four chunks: the calling thread walks the first and,
+    # with three workers, the fourth; each other worker is one new thread
+    import movebar.oracles.montecarlo as mc_mod
+    threads, walkers = [], {}
+    walk = mc_mod._walk_chunk
+
+    class Counted(threading.Thread):
+        def start(self):
+            threads.append(self)
+            super().start()
+
+    def recorded(seed, lo, *args):
+        walkers[lo] = threading.current_thread()
+        return walk(seed, lo, *args)
+
+    monkeypatch.setattr(mc_mod, "Thread", Counted)
+    monkeypatch.setattr(mc_mod, "_walk_chunk", recorded)
+    monkeypatch.setattr(mc_mod, "_pool_size", lambda: pool)
+    mc_price(100.0, 0.0, const_contract, n_paths=100_000, n_steps=4, seed=1)
+    assert len(threads) == started
+    caller = threading.current_thread()
+    assert sorted(lo // (49 * _BLOCK) for lo, t in walkers.items()
+                  if t is caller) == own
 
 
 def test_effective_sample_size_flags_a_few_carrying_pairs(td_contract):
