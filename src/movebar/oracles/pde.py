@@ -4,10 +4,15 @@ The knockout problem is solved in x = ln(S/h(t)), where the barrier sits
 still at x = 0 and r and q cancel against its drift r - q + C sigma^2: the
 convection is -(C + 1/2) sigma^2, and the lattice reads only the r and sigma
 curves.  The coefficients are frozen per step at the step midpoint, which is
-exact for piecewise-constant curves on the breakpoint-aligned step grid; the
-integrals of r and sigma^2 that the call boundary needs are summed the same
-way, step by step.  The first steps out of the (kinked) payoff are fully
-implicit so the scheme keeps clean second-order behaviour.  Each step's
+exact for piecewise-constant curves on the breakpoint-aligned step grid.
+Calls and puts solve one problem: by put-call parity a knockout call is the
+forward F = S e^{-qbar} - K e^{-rbar}, an exact solution of the same PDE,
+plus a put-like remainder u, which pays max(K - S_T, 0) and is 0 at x_max,
+and which on the barrier takes the value -F that makes the call 0 there.
+The integrals of r and sigma^2 that F needs are summed the same way as the
+coefficients, step by step, so a call far above the barrier is its forward
+to rounding.  The first steps out of the (kinked) payoff are fully implicit
+so the scheme keeps clean second-order behaviour.  Each step's
 tridiagonal solve is blocked, by the partition method (see _Stepper): once
 per step length it tables LAPACK's inverses of the blocks and of a small
 reduced system, and a step is then a few matrix products in plain numpy, the
@@ -130,27 +135,13 @@ def _solve(S: float, t: float, contract: BarrierContract, grid: PdeGrid) -> floa
     cs = contract.curves
     h_T, C, K = contract.barrier.h_T, contract.barrier.C, contract.strike
     co = to_heat_coords(S, t, contract)
-    x_eval = co.x
-    if x_eval > grid.x_max:
-        raise DomainError(f"x={x_eval:.4f} outside grid [0, {grid.x_max:.4f}]")
-    try:  # the terminal spots and the call boundary reach h_T*exp(x_max)
-        top = h_T * math.exp(grid.x_max)
-    except OverflowError:
-        top = math.inf
-    if top == math.inf:
-        raise DomainError(f"h_T*exp(x_max) overflows at x_max={grid.x_max:.6g}, "
-                          f"S={S}: spot too far above the barrier")
+    if co.x > grid.x_max:
+        raise DomainError(f"x={co.x:.4f} outside grid [0, {grid.x_max:.4f}]")
 
     n = grid.n_space
     dx = grid.x_max / n
-    x = np.linspace(0.0, grid.x_max, n + 1)
     is_call = contract.side == "call"
 
-    stepper = _Stepper(n - 1)
-    v = stepper.work[:n + 1]  # v[0] stays 0
-    spots_T = h_T * np.exp(x)
-    v[:] = np.maximum(spots_T - K, 0.0) if is_call else np.maximum(K - spots_T, 0.0)
-    v[0] = 0.0
     # the widest spacing the lattice resolves: central convection oscillates
     # beyond cell Peclet number |C + 1/2| dx = 1, and where the payoff kink
     # or the barrier lies within the diffusion's reach of the spot, nodes
@@ -163,7 +154,7 @@ def _solve(S: float, t: float, contract: BarrierContract, grid: PdeGrid) -> floa
         limits = [(1.0 / abs(C + 0.5) if C != -0.5 else math.inf,
                    f"1 / |C + 1/2|, where the cell Peclet number reaches 1 "
                    f"at C={C}")]
-        if min(x_eval, abs(x_eval - kink)) < _DOMAIN_SDS * sd:
+        if min(co.x, abs(co.x - kink)) < _DOMAIN_SDS * sd:
             limits.append((sd, "sqrt(tau), the diffusion's standard "
                            "deviation, the kink or the barrier lying within "
                            f"{_DOMAIN_SDS:g} sqrt(tau) of the spot"))
@@ -186,25 +177,35 @@ def _solve(S: float, t: float, contract: BarrierContract, grid: PdeGrid) -> floa
             else:
                 yield t_lo, t_hi, 0.5  # Crank-Nicolson
 
+    # v is u = V - F, F = 0 for a put: the put payoff, 0 at x_max, and on
+    # the barrier the wall value, 0 for a put and -F for a call
+    stepper = _Stepper(n - 1)
+    v = stepper.work[:n + 1]
+    wall = 0.0
     rbar = sigma2bar = 0.0  # the integrals over [t_lo, T]
-    edge = 0.0  # the value at x_max; a put's stays 0
     # the solve's tables, one per distinct system; the uniform steps differ
     # in their last bits, so a step is keyed by its length in uniform steps
     h = (contract.expiry - t) / grid.n_time
     factors = {}
     try:
         with np.errstate(over="ignore", invalid="ignore"):
+            # the payoff on the rows, whose top spots may pass the float
+            # range; node n stays 0, and node 0 enters the first step, fully
+            # implicit, only at its new value
+            v[1:-1] = np.maximum(
+                K - h_T * np.exp(np.linspace(0.0, grid.x_max, n + 1)[1:-1]), 0.0)
             for t_lo, t_hi, theta in substeps():
                 dt = t_hi - t_lo
                 mid = 0.5 * (t_lo + t_hi)
                 sig = cs.sigma.value_at(mid)
                 sig2 = sig * sig
                 r = cs.r.value_at(mid)
-                if is_call:  # S_top e^{-qbar} - K e^{-rbar}, where
-                    # h(t) e^{-qbar} = h_T e^{-rbar - C sigma2bar}
+                if is_call:  # -F on the barrier: K e^{-rbar} - h(t) e^{-qbar},
+                    # where h(t) e^{-qbar} = h_T e^{-rbar - C sigma2bar}
                     rbar += r * dt
                     sigma2bar += sig2 * dt
-                    edge = math.exp(-rbar) * (top * math.exp(-C * sigma2bar) - K)
+                    wall = (K * math.exp(-rbar)
+                            - math.exp(math.log(h_T) - rbar - C * sigma2bar))
 
                 key = (sig, r, round(dt / h, 9), theta)
                 tables = factors.get(key)
@@ -217,19 +218,25 @@ def _solve(S: float, t: float, contract: BarrierContract, grid: PdeGrid) -> floa
                     tables = factors[key] = stepper.tables(
                         -theta * dt * alpha, 1.0 - theta * dt * beta,
                         -theta * dt * gamma,
-                        (ex_dt * alpha, 1.0 + ex_dt * beta, ex_dt * gamma),
-                        theta * dt * gamma)
-                stepper.step(tables, edge)
+                        (ex_dt * alpha, 1.0 + ex_dt * beta, ex_dt * gamma))
+                stepper.step(tables, wall)
                 if not np.isfinite(v[1:-1]).all():
                     raise AccuracyError(f"lattice values leave the float "
                                         f"range at t={t_lo:.6g}")
-                v[-1] = edge
-    except OverflowError as exc:  # math.exp of the call boundary
+    except OverflowError as exc:  # math.exp of the call's barrier value
         raise DomainError(f"call boundary at t={t_lo:.6g} is outside the float "
                           f"range: rbar={rbar:.4g}, sigma2bar={sigma2bar:.4g} "
                           f"to expiry") from exc
 
-    return _cubic_at(v, x_eval / dx)
+    # F from the same sums, so F = -wall and V = 0 on the barrier; a put's
+    # 0.0 keeps its bits, as _cubic_at never returns -0.0
+    try:
+        forward = ((math.exp(co.x + math.log(h_T) - rbar - C * sigma2bar)
+                    - K * math.exp(-rbar)) if is_call else 0.0)
+    except OverflowError:
+        raise DomainError(f"the forward S e^(-qbar) - K e^(-rbar) at S={S} is "
+                          f"outside the float range") from None
+    return forward + _cubic_at(v, co.x / dx)
 
 
 def _cubic_at(v: np.ndarray, pos: float) -> float:
@@ -259,18 +266,18 @@ class _Stepper:
 
     A step solves the tridiagonal system (lower, diag, upper) for the
     right-hand side E v, E the explicit operator with the stencil
-    `explicit`, plus `boundary` times the new boundary value on the last
-    row.  work holds v on the rows + 2 nodes, the new boundary value, then
-    zeros up to whole blocks; block k's rows read the window
-    work[k * block : k * block + block + 3].
+    `explicit`, plus -lower times node 0's new value on the first row; the
+    node after the last row is 0 at the new time.  work holds v on the
+    rows + 2 nodes, then zeros up to whole blocks; block k's rows read the
+    window work[k * block : k * block + block + 3].
 
     The rows are cut into blocks (H. H. Wang, ACM TOMS 7(2), 1981).  Every
     block but the last has the same matrix, so one system needs two block
     inverses.  A step solves every block on its own, E folded in, in one
     matrix product; solves the small reduced system for the values at the
-    block ends; and adds the spikes that the rows before and after each
-    block send into it.  The last block is padded with rows that come out
-    0.
+    block ends, node 0's new value one more input to it; and adds the spikes
+    that the rows before and after each block send into it.  The last block
+    is padded with rows that come out 0.
     """
 
     def __init__(self, rows: int):
@@ -281,25 +288,29 @@ class _Stepper:
         nb = -(-rows // m)
         self.rows = rows
         self.work = np.zeros(nb * m + 3)
+        # the window's last column meets only zero coefficients; it stays,
+        # as a product over m + 2 columns sums in another order and moves
+        # the prices' last bits
         self._windows = sliding_window_view(self.work, m + 3)[:nb * m:m]
         self._interior = self.work[1:nb * m + 1].reshape(nb, m)
         self._window = np.empty((nb, m + 3))  # contiguous, for one gemm
         self._local = np.empty((nb, m + 1))
         self._carried = np.empty((nb, m))
+        # the reduced system's inputs: every block's local ends, then node 0
+        self._ends = np.empty(2 * nb + 1)
 
-    def tables(self, lower, diag, upper, explicit, boundary):
+    def tables(self, lower, diag, upper, explicit):
         """What step() needs of one system: the local solves of a block and
-        of the last block, the map from the local ends to every block's
-        carries in, and the spikes.  AccuracyError on a singular block or
-        reduced system."""
+        of the last block, the map from the local ends and node 0 to every
+        block's carries in, and the spikes.  AccuracyError on a singular
+        block or reduced system."""
         rows, m = self.rows, self.block
         nb = len(self._interior)
         p = rows - (nb - 1) * m  # rows in the last block
         a = (np.diag(np.full(m, diag)) + np.diag(np.full(m - 1, lower), -1)
              + np.diag(np.full(m - 1, upper), 1))
         # [0] every block but the last; [1] the last, whose p rows are the
-        # leading block of [0] and whose padding stays 0; the boundary value
-        # enters in the column after its window
+        # leading block of [0] and whose padding stays 0
         inv = np.zeros((2, m, m))
         inv[0] = _inverse(a)
         inv[1, :p, :p] = _inverse(a[:p, :p])
@@ -307,13 +318,11 @@ class _Stepper:
         i = np.arange(m)
         for d, x in enumerate(explicit):
             e[:, i, i + d] = x
-        e[1, p - 1, p + 2] = boundary
         # the local solve, its last row again on top: local ends first
         local = np.empty((2, m + 1, m + 3))
         np.matmul(inv, e, out=local[:, 1:])
         local[:, 0] = local[:, -1]
-        # what y before a block and y after it add to each of its rows; after
-        # the last block is the boundary value, already in its local solve
+        # what y before a block and y after it add to each of its rows
         spikes = np.stack([-lower * inv[0, :, 0], -upper * inv[0, :, -1]])
         spike_last = -lower * inv[1, :, 0]
 
@@ -325,24 +334,29 @@ class _Stepper:
         reduced[k - 1, :, k, 1] = -spikes[1, [-1, 0]]
         if nb > 1:
             reduced[-1, :, -2, 0] = -spike_last[[-1, 0]]
-        # block k's carries in: y before it and y after it
+        # block k's carries in: y before it and y after it.  Node 0 is block
+        # 0's y before, and reaches the others as a local end of block 0
+        # would, through its spike's tips
         z = _inverse(reduced.reshape(2 * nb, 2 * nb)).reshape(nb, 2, 2 * nb)
-        carry = np.zeros((nb, 2, 2 * nb))
-        carry[1:, 0] = z[:-1, 0]
-        carry[:-1, 1] = z[1:, 1]
-        return (local[0].T, local[1].T, carry.reshape(2 * nb, 2 * nb), spikes,
-                spike_last)
+        carry = np.zeros((nb, 2, 2 * nb + 1))
+        carry[1:, 0, :-1] = z[:-1, 0]
+        carry[:-1, 1, :-1] = z[1:, 1]
+        carry[..., -1] = carry[..., :2] @ spikes[0, [-1, 0]]
+        carry[0, 0, -1] = 1.0
+        return (local[0].T, local[1].T, carry.reshape(2 * nb, 2 * nb + 1),
+                spikes, spike_last)
 
-    def step(self, tables, edge: float):
-        """Advance work one step, edge the new boundary value."""
+    def step(self, tables, wall: float):
+        """Advance work one step, wall node 0's new value."""
         local, local_last, carry, spikes, spike_last = tables
         window, x, carried = self._window, self._local, self._carried
-        self.work[self.rows + 2] = edge
         np.copyto(window, self._windows)
         np.matmul(window, local, out=x)
         np.matmul(window[-1], local_last, out=x[-1])
-        carries = (carry @ x[:, :2].ravel()).reshape(-1, 2)
+        np.copyto(self._ends[:-1].reshape(-1, 2), x[:, :2])
+        self._ends[-1] = wall
+        carries = (carry @ self._ends).reshape(-1, 2)
         np.matmul(carries, spikes, out=carried)
         np.multiply(spike_last, carries[-1, 0], out=carried[-1])
         np.add(x[:, 1:], carried, out=self._interior)
-
+        self.work[0] = wall

@@ -97,8 +97,8 @@ def test_valuation_point_integrates_each_curve_once(td_contract, overlap_sums,
 @pytest.mark.parametrize("n", [120, 400])
 def test_lattice_integrates_the_curves_only_at_the_valuation_point(
         td_contract, overlap_sums, side, n):
-    # the call boundary sums r and sigma^2 as the steps go back: the one
-    # locate is the only curve integration of a solve
+    # the call's barrier value and forward sum r and sigma^2 as the steps go
+    # back: the one locate is the only curve integration of a solve
     _solve(120.0, 0.25, td_contract(0.7, side=side),
            mb.PdeGrid(x_max=2.0, n_space=n, n_time=n))
     assert len(overlap_sums) == 3

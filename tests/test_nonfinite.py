@@ -108,13 +108,27 @@ def test_simulation_with_overflowing_payoffs_raises_accuracy_error():
         mb.mc_price(1e300, 0.0, _flat(0.0), n_paths=1000, n_steps=8)
 
 
-# exp(x_max) itself overflows, or only h_T*exp(x_max) does
-@pytest.mark.parametrize("h_T,S", [(1e-3, 1e306), (90.0, 1.7e308)],
-                         ids=["exp", "h_T*exp"])
-def test_lattice_grid_top_outside_float_range_raises_domain_error(h_T, S):
-    with pytest.raises(DomainError, match=re.escape(f"S={S}")) as info:
-        mb.pde_price(S, 0.0, _flat(1.0, h_T=h_T))
-    assert "x_max=" in str(info.value)
+# h_T*exp(x_max) overflows, or exp(x_max) itself does, but the lattice
+# solves only the put-like remainder, which is 0 at x_max, and adds the
+# forward S e^{-qbar} - K e^{-rbar}.  The image term lies far below rounding
+# (the closed form cannot form it at h_T 1e-3), so the call is the vanilla
+@pytest.mark.parametrize("h_T,S", [(90.0, 1.7e308), (1e-3, 1e306)],
+                         ids=["h_T*exp", "exp"])
+def test_lattice_prices_a_call_at_the_top_of_the_float_range(h_T, S):
+    con = _flat(0.0, h_T=h_T)
+    want = mb.vanilla_call(S, 0.0, 100.0, 1.0, con.curves).price
+    assert abs(mb.pde_price(S, 0.0, con) - want) <= 1e-12 * want
+
+
+def test_lattice_forward_outside_float_range_raises_domain_error():
+    # with q = -0.1, S e^{-qbar} passes the float range
+    curves = mb.CurveSet.constant(0.05, -0.1, 0.2)
+    con = mb.BarrierContract(strike=100.0, expiry=1.0, side="call",
+                             style="down_and_out",
+                             barrier=mb.barrier_from_terminal(90.0, 0.0, curves, 1.0))
+    with pytest.raises(DomainError, match=re.escape("forward S e^(-qbar) - K "
+                                                    "e^(-rbar) at S=1.7e+308")):
+        mb.pde_price(1.7e308, 0.0, con)
 
 
 # r = +-3000 either side of mid-horizon: e^{-rbar} from t to T is 1 at t = 0

@@ -254,8 +254,8 @@ def test_cubic_stencil_is_exact_on_nodes_and_cubics():
 
 
 def _lattice_system(C, theta, sigma=0.2, r=0.05, dx=0.005, dt=0.01):
-    """(lower, diag, upper, explicit, boundary) of one lattice step, built as
-    the lattice builds it; cell Peclet number |C + 1/2| dx."""
+    """(lower, diag, upper, explicit) of one lattice step, built as the
+    lattice builds it; cell Peclet number |C + 1/2| dx."""
     sig2 = sigma * sigma
     conv = -(C + 0.5) * sig2
     alpha = 0.5 * sig2 / (dx * dx) - 0.5 * conv / dx
@@ -263,7 +263,7 @@ def _lattice_system(C, theta, sigma=0.2, r=0.05, dx=0.005, dt=0.01):
     gamma = 0.5 * sig2 / (dx * dx) + 0.5 * conv / dx
     ex = (1.0 - theta) * dt
     return (-theta * dt * alpha, 1.0 - theta * dt * beta, -theta * dt * gamma,
-            (ex * alpha, 1.0 + ex * beta, ex * gamma), theta * dt * gamma)
+            (ex * alpha, 1.0 + ex * beta, ex * gamma))
 
 
 # blocks of about sqrt(2 rows): 800 rows make 20 whole blocks of 40, and
@@ -276,20 +276,20 @@ def _lattice_system(C, theta, sigma=0.2, r=0.05, dx=0.005, dt=0.01):
 @pytest.mark.parametrize("theta", [0.5, 1.0])
 def test_blocked_step_matches_a_dense_solve(rows, C, dx, theta):
     system = _lattice_system(C, theta, dx=dx)
-    lower, diag, upper, (e_lo, e_mid, e_up), boundary = system
+    lower, diag, upper, (e_lo, e_mid, e_up) = system
     v = np.random.default_rng(rows).normal(size=rows + 2)
-    edge = 0.75
+    wall = 0.75  # node 0's new value; the last node's is 0
     a = (np.diag(np.full(rows, diag)) + np.diag(np.full(rows - 1, lower), -1)
          + np.diag(np.full(rows - 1, upper), 1))
     rhs = e_lo * v[:-2] + e_mid * v[1:-1] + e_up * v[2:]
-    rhs[-1] += boundary * edge
+    rhs[0] -= lower * wall
     want = np.linalg.solve(a, rhs)
     stepper = _Stepper(rows)
     stepper.work[:rows + 2] = v
-    stepper.step(stepper.tables(*system), edge)
+    stepper.step(stepper.tables(*system), wall)
     got = stepper.work[1:rows + 1]
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-    assert stepper.work[0] == v[0]  # the barrier node is never written
+    assert stepper.work[0] == wall
 
 
 @pytest.mark.parametrize("system,row", [((1.0, 0.0, 1.0), 0),
@@ -297,7 +297,7 @@ def test_blocked_step_matches_a_dense_solve(rows, C, dx, theta):
 def test_zero_pivot_is_an_accuracy_error(system, row):
     stepper = _Stepper(3)
     with pytest.raises(AccuracyError, match="tridiagonal system is singular"):
-        stepper.tables(*system, (0.0, 1.0, 0.0), 0.0)
+        stepper.tables(*system, (0.0, 1.0, 0.0))
 
 
 # (lower, diag, upper) systems whose blocks meet a zero pivot without row
@@ -306,11 +306,14 @@ def test_zero_pivot_is_an_accuracy_error(system, row):
 @pytest.mark.parametrize("rows,coef", [(6, 1.0), (7, 2.0)])
 def test_blocks_solve_past_a_zero_pivot(rows, coef):
     v = np.random.default_rng(rows).normal(size=rows + 2)
+    wall = 0.75
     a = coef * (np.eye(rows) + np.eye(rows, k=1) + np.eye(rows, k=-1))
-    want = np.linalg.solve(a, v[1:-1])
+    rhs = v[1:-1].copy()
+    rhs[0] -= coef * wall
+    want = np.linalg.solve(a, rhs)
     stepper = _Stepper(rows)
     stepper.work[:rows + 2] = v
-    stepper.step(stepper.tables(coef, coef, coef, (0.0, 1.0, 0.0), 0.0), 0.0)
+    stepper.step(stepper.tables(coef, coef, coef, (0.0, 1.0, 0.0)), wall)
     got = stepper.work[1:rows + 1]
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -318,7 +321,7 @@ def test_blocks_solve_past_a_zero_pivot(rows, coef):
 def test_singular_system_is_an_accuracy_error():
     # 1 + 2 cos(6 pi / 9) = 0: (1, 1, 1) on 8 rows is singular
     with pytest.raises(AccuracyError, match="tridiagonal system is singular"):
-        _Stepper(8).tables(1.0, 1.0, 1.0, (0.0, 1.0, 0.0), 0.0)
+        _Stepper(8).tables(1.0, 1.0, 1.0, (0.0, 1.0, 0.0))
 
 
 @pytest.mark.parametrize("n", [200, 400, 800])
@@ -342,33 +345,47 @@ def test_one_table_per_step_length(monkeypatch, curves, builds, n):
     assert len(calls) == builds
 
 
-# float.hex of the lattice price at S 100, t 0 with the tridiagonal systems
-# solved by LAPACK's dgttrf/dgttrs: the 9 fixture pairs (knockout style) at
-# the default 400 x 400 grid, then the criterion-1/2 calls at 800 x 800
+# float.hex of the lattice price at S 100, t 0 with each step's tridiagonal
+# system solved by LAPACK (dgttrf/dgttrs for the puts, dgtsv for the calls,
+# re-frozen when a call became the forward plus a put-like remainder): the 9
+# fixture pairs (knockout style) at the default 400 x 400 grid, then the
+# criterion-1/2 calls at 800 x 800
 _LAPACK_400 = {
-    ("curves_flat", "contract_knockout_call"): "0x1.15490e79237bep+3",
+    ("curves_flat", "contract_knockout_call"): "0x1.1548fe715bbeap+3",
     ("curves_flat", "contract_levels_put"): "0x1.7ee49fd4b1f97p-3",
-    ("curves_flat", "contract_low_strike"): "0x1.4066ddfa66ad2p+4",
-    ("curves_flat_div", "contract_knockout_call"): "0x1.c11f26e57fc19p+2",
+    ("curves_flat", "contract_low_strike"): "0x1.4066e5a221296p+4",
+    ("curves_flat_div", "contract_knockout_call"): "0x1.c11f0b461deb1p+2",
     ("curves_flat_div", "contract_levels_put"): "0x1.8d28c7c073a0bp-3",
-    ("curves_flat_div", "contract_low_strike"): "0x1.195c6dffcf4c0p+4",
-    ("curves_two_piece", "contract_knockout_call"): "0x1.980c3d399f66fp+2",
+    ("curves_flat_div", "contract_low_strike"): "0x1.195c74ed18cc2p+4",
+    ("curves_two_piece", "contract_knockout_call"): "0x1.980c11e7620d8p+2",
     ("curves_two_piece", "contract_levels_put"): "0x1.029ad6abf1cfcp-3",
-    ("curves_two_piece", "contract_low_strike"): "0x1.178468ccdeee1p+4",
+    ("curves_two_piece", "contract_low_strike"): "0x1.17847523fca88p+4",
 }
 _LAPACK_800 = {
-    ("flat", -1.25): "0x1.154ae59e0f61ap+3",
-    ("two_piece", -1.0): "0x1.c5f734b64baf5p+2",
-    ("two_piece", 0.0): "0x1.1c22817ed7eaap+3",
-    ("two_piece", 1.0): "0x1.375b458b551fdp+3",
+    ("flat", -1.25): "0x1.154ae16ff3d40p+3",
+    ("two_piece", -1.0): "0x1.c5f72bc1a01dcp+2",
+    ("two_piece", 0.0): "0x1.1c22838f45e6cp+3",
+    ("two_piece", 1.0): "0x1.375b508638c92p+3",
 }
+
+
+def _fixture_contract(pair):
+    curves = mb.load_curves(FIX / f"{pair[0]}.json")
+    return dataclasses.replace(mb.load_contract(FIX / f"{pair[1]}.json", curves),
+                               style="down_and_out")
+
+
+def _triangle_contract(case, side="call"):
+    curves = (mb.CurveSet.constant(0.05, 0.0, 0.2) if case[0] == "flat"
+              else mb.load_curves(FIX / "curves_two_piece.json"))
+    return mb.BarrierContract(
+        strike=100.0, expiry=1.0, side=side, style="down_and_out",
+        barrier=mb.barrier_from_terminal(90.0, case[1], curves, 1.0))
 
 
 @pytest.mark.parametrize("pair", list(_LAPACK_400), ids="+".join)
 def test_fixture_pairs_match_the_lapack_lattice(pair):
-    curves = mb.load_curves(FIX / f"{pair[0]}.json")
-    con = dataclasses.replace(mb.load_contract(FIX / f"{pair[1]}.json", curves),
-                              style="down_and_out")
+    con = _fixture_contract(pair)
     got = pde_price(100.0, 0.0, con, grid=PdeGrid.for_contract(100.0, 0.0, con))
     want = float.fromhex(_LAPACK_400[pair])
     assert abs(got - want) <= 1e-12 * abs(want)
@@ -376,11 +393,45 @@ def test_fixture_pairs_match_the_lapack_lattice(pair):
 
 @pytest.mark.parametrize("case", list(_LAPACK_800), ids=str)
 def test_triangle_calls_match_the_lapack_lattice(case):
-    curves = (mb.CurveSet.constant(0.05, 0.0, 0.2) if case[0] == "flat"
-              else mb.load_curves(FIX / "curves_two_piece.json"))
-    con = mb.BarrierContract(
-        strike=100.0, expiry=1.0, side="call", style="down_and_out",
-        barrier=mb.barrier_from_terminal(90.0, case[1], curves, 1.0))
+    con = _triangle_contract(case)
     grid = PdeGrid.for_contract(100.0, 0.0, con, n_space=800, n_time=800)
     want = float.fromhex(_LAPACK_800[case])
     assert abs(pde_price(100.0, 0.0, con, grid=grid) - want) <= 1e-12 * abs(want)
+
+
+# float.hex of the blocked solve's put prices at S 100, t 0: the
+# contract_levels_put pairs at 400 x 400 and puts on the criterion-1/2
+# barriers at 800 x 800.  Where numpy's SIMD kernels set last bits, the
+# second value is without AVX-512
+_PINNED_PUTS = {
+    ("curves_flat", "contract_levels_put"): ("0x1.7ee49fd4b1f86p-3",),
+    ("curves_flat_div", "contract_levels_put"): ("0x1.8d28c7c0736dap-3",),
+    ("curves_two_piece", "contract_levels_put"): ("0x1.029ad6abf1ec2p-3",),
+    ("flat", -1.25): ("0x1.359784d7d3a49p-3", "0x1.359784d7d3a4bp-3"),
+    ("two_piece", -1.0): ("0x1.3e60de4003b88p-4", "0x1.3e60de4003b86p-4"),
+    ("two_piece", 0.0): ("0x1.02fca2ab09cd5p-3", "0x1.02fca2ab09cd3p-3"),
+    ("two_piece", 1.0): ("0x1.5d20bdbe920a5p-3",),
+}
+
+
+@pytest.mark.parametrize("key", list(_PINNED_PUTS), ids=str)
+def test_put_prices_keep_their_bits(key):
+    if key in _LAPACK_400:
+        con, n = _fixture_contract(key), 400
+    else:
+        con, n = _triangle_contract(key, side="put"), 800
+    grid = PdeGrid.for_contract(100.0, 0.0, con, n_space=n, n_time=n)
+    assert pde_price(100.0, 0.0, con, grid=grid).hex() in _PINNED_PUTS[key]
+
+
+# far above the barrier a call is its forward; the lattice adds only the
+# put-like remainder, so it is as close as the closed form's own rounding
+@pytest.mark.parametrize("S", [1e12, 1e50, 1e100, 1e200, 1e300])
+@pytest.mark.parametrize("C", [0.0, -0.5])
+def test_far_spot_call_is_the_forward(S, C):
+    curves = mb.CurveSet.constant(0.05, 0.01, 0.2)
+    con = mb.BarrierContract(strike=100.0, expiry=1.0, side="call",
+                             style="down_and_out",
+                             barrier=mb.barrier_from_terminal(50.0, C, curves, 1.0))
+    closed = mb.down_and_out_call(S, 0.0, con).price
+    assert abs(pde_price(S, 0.0, con) - closed) <= 1e-12 * closed
