@@ -28,7 +28,8 @@ from typing import Optional
 from .contract import BarrierContract, barrier_from_terminal
 from .curves import CurveSet
 from .errors import DomainError
-from .vanilla import norm_cdf, quote_from_bars, vanilla_call, vanilla_put
+from .vanilla import (_quote, norm_cdf, quote_from_bars, vanilla_call,
+                      vanilla_put)
 
 _LOG_MAX = math.log(sys.float_info.max)  # exp overflows beyond it
 
@@ -86,7 +87,7 @@ def _expired(S: float, contract: BarrierContract, kind: str,
 def _call_leg(spot: float, K: float, h_T: float, rbar: float, qbar: float,
               s2: float):
     """Vanilla call quote: (price, d1, d1')."""
-    q = quote_from_bars(spot, K, rbar, qbar, s2, "call")
+    q = _quote(spot, K, rbar, qbar, s2, "call")
     return q.price, q.d1, q.d1_prime
 
 
@@ -170,6 +171,9 @@ def _closed_form(S: float, t: float, contract: BarrierContract, kind: str,
         else:
             van = quote_from_bars(S, contract.strike, *bars, kind).price
             price = img = van - out
+    if not math.isfinite(price):
+        raise DomainError(f"{kind} price is {price} at S={S}: outside the "
+                          f"float range")
     return PriceBreakdown(price=price, vanilla_term=van, image_term=img,
                           d1=d[0], d1_prime=d[1], d2=d[2], d2_prime=d[3],
                           C=barrier.C, power_factor=power, rbar=bars[0],

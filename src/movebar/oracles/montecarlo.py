@@ -19,30 +19,30 @@ pair _BLOCK*b + j is that stream's normal number _BLOCK*i + j.  A pair's
 normals thus depend only on (seed, pair), and its first k steps are the same
 for every n_steps >= k.
 
-The blocks are padded to chunks of one width, the fewest chunks of at most
-_CHUNK pairs, which run on one worker per available core: the calling
-thread is worker 0 and plain threads run the others.  A worker walks a
-chunk's x in its own buffers and writes only the chunk's survival weights
-and pair means into arrays shared by all chunks: w, (2, blocks, _BLOCK),
-and the pair means, (blocks, _BLOCK), 12 B per path.  A worker draws
-_SLAB steps of its chunk's normals into a block-major (blocks, steps,
-_BLOCK) slab, each block's stream filling its own part in place, scales
-them by sigma sqrt(dt) in one multiply, walks them and draws the next
-slab, so its memory does not grow with n_steps.
+The blocks are padded to chunks of one width: as many chunks as workers,
+or the fewest of at most _CHUNK pairs if that is more.  They run on one
+worker per available core: the calling thread is worker 0 and plain
+threads run the others.  A worker walks a chunk's x in its own buffers and
+writes only the chunk's survival weights and pair means into arrays shared
+by all chunks: w, (2, blocks, _BLOCK), and the pair means, (blocks,
+_BLOCK), 12 B per path.  For each step a worker draws one row of normals,
+each block's stream filling its own part of a contiguous (blocks, _BLOCK)
+row, scales it by sigma sqrt(dt) and walks it, so its memory does not grow
+with n_steps.
 Once the chunk is walked, the worker turns its terminal x in place into
 discounted, weighted payoffs and sums each pair's two, so no whole-array
-payoff is ever formed.  No lock is taken: the draws are long calls that
-release the interpreter lock, and a walk step is 9 numpy calls over a
-whole chunk row of up to 32,768 paths, so two walks trade the interpreter
-lock far less often than on short rows.
+payoff is ever formed.  No lock is taken: each draw is 2,048 normals
+drawn without the interpreter lock, and a walk step is 9 numpy calls over
+a whole chunk row of up to 65,536 paths, so two walks trade the
+interpreter lock far less often than on short rows.
 The pair means and the knockout fraction are reduced once at the end, with
 the padding dropped, and the standard error comes from the pair means, so
 the estimate is bit-identical for a given (seed, n_paths, n_steps) whatever
 the thread count or chunk size.  Each worker's buffers (at most about
-1.5 MB: the 1 MB slab and two x) are allocated by the calling thread and
-reused for every chunk: buffers allocated and freed on the worker threads
-stay cached in the allocator's per-thread arenas, and the peak memory then
-depends on which thread ran which chunk.
+1.25 MB: two 512 kB x and a 256 kB row of normals) are allocated by the
+calling thread and reused for every chunk: buffers allocated and freed on
+the worker threads stay cached in the allocator's per-thread arenas, and
+the peak memory then depends on which thread ran which chunk.
 """
 from __future__ import annotations
 
@@ -58,9 +58,8 @@ from ..errors import AccuracyError, DomainError, check_integers
 from .heatkernel import to_heat_coords
 from .pde import _time_grid
 
-_BLOCK = 256  # pairs per seeded stream; fixes the estimate's bits
-_CHUNK = 16384  # most pairs per task, whole blocks: 32,768 paths per numpy call
-_SLAB = 8  # steps of normals drawn ahead of the walk: 1 MB per chunk
+_BLOCK = 2048  # pairs per seeded stream; fixes the estimate's bits
+_CHUNK = 32768  # most pairs per task, whole blocks: 65,536 paths per numpy call
 # floor of the crossing exponent: exp(e) < 2**-54 for e <= -37.5, so
 # 1 - exp(e) is exactly 1.0 there and the clamp changes no weight
 _E_MIN = -40.0
@@ -89,14 +88,6 @@ def _block_streams(seed: int, lo: int, hi: int) -> list:
             for b in range(lo // _BLOCK, -(-hi // _BLOCK))]
 
 
-def _draw_slab(streams, z):
-    """Fill z, a (blocks, rows, _BLOCK) array, with the streams' next rows of
-    normals, block k's in z[k], and return it."""
-    for stream, piece in zip(streams, z):
-        stream.standard_normal(out=piece)
-    return z
-
-
 def _pool_size() -> int:
     """Number of cores this process may run on."""
     try:
@@ -113,28 +104,28 @@ def _walk_chunk(seed, lo, x, w, drift, sd, coef, buf):
     weight 1, the paths walking +z in row 0 and -z in row 1; w is left at
     the terminal weights.  ``coef`` is -2 / variance per step.  ``buf``
     holds the worker's other buffers in the chunk's shapes: a (blocks,
-    _SLAB, _BLOCK) slab of normals and the other x.  Each step writes the
-    new x into the other x and forms the crossing exponent in place of the
-    old one.  Runs on worker threads, so it calls only numpy."""
-    slab, x_b = buf
+    _BLOCK) row of normals and the other x.  Each step draws one row, block
+    k's stream filling row k, writes the new x into the other x and forms
+    the crossing exponent in place of the old one.  Runs on worker threads,
+    so it calls only numpy."""
+    z, x_b = buf
     x_a = x
     streams = _block_streams(seed, lo, lo + x.shape[1] * _BLOCK)
-    for s0 in range(0, len(coef), _SLAB):
-        # the last slab may be short: slices clamp to the steps left
-        z = _draw_slab(streams, slab[:, :len(coef) - s0])
-        np.multiply(z, sd[s0:s0 + _SLAB, None], out=z)
-        for i, dz in enumerate(z.swapaxes(0, 1), s0):
-            np.add(x_a, drift[i], out=x_b)
-            np.add(x_b[0], dz, out=x_b[0])
-            np.subtract(x_b[1], dz, out=x_b[1])
-            # exponent >= 0 iff an endpoint is at/below the barrier: p = 1
-            e = np.multiply(x_a, x_b, out=x_a)
-            np.multiply(e, coef[i], out=e)
-            np.clip(e, _E_MIN, 0.0, out=e)
-            np.exp(e, out=e)
-            np.subtract(1.0, e, out=e)
-            np.multiply(w, e, out=w)
-            x_a, x_b = x_b, x_a
+    for i in range(len(coef)):
+        for stream, row in zip(streams, z):
+            stream.standard_normal(out=row)
+        np.multiply(z, sd[i], out=z)
+        np.add(x_a, drift[i], out=x_b)
+        np.add(x_b[0], z, out=x_b[0])
+        np.subtract(x_b[1], z, out=x_b[1])
+        # exponent >= 0 iff an endpoint is at/below the barrier: p = 1
+        e = np.multiply(x_a, x_b, out=x_a)
+        np.multiply(e, coef[i], out=e)
+        np.clip(e, _E_MIN, 0.0, out=e)
+        np.exp(e, out=e)
+        np.subtract(1.0, e, out=e)
+        np.multiply(w, e, out=w)
+        x_a, x_b = x_b, x_a
     return x_a, x_b
 
 
@@ -195,16 +186,18 @@ def mc_price(S: float, t: float, contract: BarrierContract,
 
     pairs = n_paths // 2
     # pair _BLOCK * b + j is column j of block b, row 0 walking +z and row 1
-    # -z; the blocks are padded to chunks of one width, at most _CHUNK
-    # pairs, and the padding is dropped before the final reduction
+    # -z; the blocks are padded to chunks of one width, one per worker or
+    # at most _CHUNK pairs each, and the padding is dropped before the final
+    # reduction
     blocks = -(-pairs // _BLOCK)
-    chunks = -(-blocks // (_CHUNK // _BLOCK))
-    width = -(-blocks // chunks)
+    pool = _pool_size()
+    width = -(-blocks // max(pool, -(-blocks // (_CHUNK // _BLOCK))))
+    chunks = -(-blocks // width)
     w = np.ones((2, chunks * width, _BLOCK))
     means = np.empty((chunks * width, _BLOCK))
     starts = range(0, chunks * width, width)
-    workers = min(_pool_size(), chunks)
-    bufs = [(np.empty((2, width, _BLOCK)), np.empty((width, _SLAB, _BLOCK)),
+    workers = min(pool, chunks)
+    bufs = [(np.empty((2, width, _BLOCK)), np.empty((width, _BLOCK)),
              np.empty((2, width, _BLOCK)))
             for _ in range(workers)]
     coef = -2.0 / var

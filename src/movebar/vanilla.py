@@ -38,7 +38,19 @@ def _check_spot_strike(S: float, K: float):
 
 def quote_from_bars(S: float, K: float, rbar: float, qbar: float,
                     sigma2bar: float, side: str = "call") -> VanillaQuote:
-    """Vanilla quote from pre-integrated curve quantities."""
+    """Vanilla quote from pre-integrated curve quantities.  Raises
+    DomainError naming S if the price is not finite."""
+    q = _quote(S, K, rbar, qbar, sigma2bar, side)
+    if not math.isfinite(q.price):
+        raise DomainError(f"vanilla {side} price is {q.price} at S={S}: "
+                          f"outside the float range")
+    return q
+
+
+def _quote(S: float, K: float, rbar: float, qbar: float, sigma2bar: float,
+           side: str) -> VanillaQuote:
+    """quote_from_bars without the check on the price: a barrier leg may
+    leave the float range where the knock-in call's legs cancel."""
     _check_spot_strike(S, K)
     for name, value in (("rbar", rbar), ("qbar", qbar), ("sigma2bar", sigma2bar)):
         if not math.isfinite(value):

@@ -11,24 +11,29 @@ import pytest
 
 import movebar as mb
 from movebar import DomainError, mc_price
-from movebar.oracles.montecarlo import (_BLOCK, _E_MIN, _block_streams,
-                                        _draw_slab)
+from movebar.oracles.montecarlo import _BLOCK, _E_MIN, _walk_chunk
+from movebar.oracles.pde import _time_grid
 
 FIX = Path(__file__).resolve().parents[1] / "fixtures"
 
 
-def _normals(seed, lo, z, slab=None):
+def _normals(seed, lo, z):
     """Fill z, a (steps, pairs) array, with the normals of pairs
-    [lo, lo + pairs), drawn slab rows at a time (all at once if None) into
-    block-major slabs of the whole blocks that hold them."""
+    [lo, lo + pairs) as the walk of the whole blocks that hold them draws
+    them: a walk from x = 0 with no drift whose only nonzero sd is step
+    i's ends its +z paths exactly at step i's normals."""
     steps, m = z.shape
-    slab = slab or steps
-    streams = _block_streams(seed, lo, lo + m)
     first = lo // _BLOCK * _BLOCK
-    for s0 in range(0, steps, slab):
-        rows = min(slab, steps - s0)
-        drawn = _draw_slab(streams, np.empty((len(streams), rows, _BLOCK)))
-        z[s0:s0 + rows] = np.hstack(drawn)[:, lo - first:lo - first + m]
+    blocks = -(-(lo + m - first) // _BLOCK)
+    for i in range(steps):
+        x = np.zeros((2, blocks, _BLOCK))
+        sd = np.zeros(steps)
+        sd[i] = 1.0
+        x_T, _ = _walk_chunk(seed, first, x, np.ones_like(x), np.zeros(steps),
+                             sd, np.full(steps, -2.0),
+                             (np.empty((blocks, _BLOCK)), np.empty_like(x)))
+        assert np.array_equal(x_T[1], -x_T[0])
+        z[i] = x_T[0].reshape(-1)[lo - first:lo - first + m]
     return z
 
 
@@ -46,48 +51,96 @@ def test_path_substreams_align_across_chunks():
 
 
 def test_block_streams_follow_the_stream_rule():
-    # step i of pair 256 b + j is normal number 256 i + j of block b's
-    # stream, drawn the same in slabs of any height; pairs 200-899 span
-    # four blocks, the first and last in part
-    whole = _normals(5, 200, np.empty((37, 700)))
-    for slab in (1, 5, 16):
-        assert np.array_equal(_normals(5, 200, np.empty((37, 700)), slab),
-                              whole)
-    for b in range(4):
+    # step i of pair 2048 b + j is normal number 2048 i + j of block b's
+    # stream; pairs 1900-4299 span three blocks, the first and last in part
+    whole = _normals(5, 1900, np.empty((9, 2400)))
+    for b in range(3):
         stream = np.random.Generator(np.random.SFC64(
             np.random.SeedSequence(5, spawn_key=(b,))))
-        rows = stream.standard_normal((37, _BLOCK))
-        lo, hi = max(200, _BLOCK * b), min(900, _BLOCK * (b + 1))
-        assert np.array_equal(whole[:, lo - 200:hi - 200],
-                              rows[:, lo - _BLOCK * b:hi - _BLOCK * b])
+        lo, hi = max(1900, _BLOCK * b), min(4300, _BLOCK * (b + 1))
+        for i in range(9):
+            row = stream.standard_normal(_BLOCK)
+            assert np.array_equal(whole[i, lo - 1900:hi - 1900],
+                                  row[lo - _BLOCK * b:hi - _BLOCK * b])
 
 
 def test_first_steps_do_not_depend_on_the_step_count():
-    long = _normals(5, 200, np.empty((37, 700)), 16)
-    short = _normals(5, 200, np.empty((10, 700)), 16)
+    long = _normals(5, 1900, np.empty((17, 2400)))
+    short = _normals(5, 1900, np.empty((10, 2400)))
     assert np.array_equal(long[:10], short)
+
+
+def _whole_array_estimate(S, con, n_paths, n_steps, seed):
+    """(price, std_error, knockout_fraction) of one walk over all pairs at
+    once, on normals drawn a whole block's steps per call by the stream
+    rule, in the estimator's arithmetic."""
+    co = mb.to_heat_coords(S, 0.0, con)
+    times = _time_grid(0.0, con.expiry, n_steps, con)
+    sig = np.array([con.curves.sigma.value_at(0.5 * (a + b))
+                    for a, b in zip(times[:-1], times[1:])])
+    var = sig * sig * np.diff(times)
+    pairs = n_paths // 2
+    z = np.hstack([np.random.Generator(np.random.SFC64(
+        np.random.SeedSequence(seed, spawn_key=(b,)))).standard_normal(
+            (len(var), _BLOCK)) for b in range(-(-pairs // _BLOCK))])
+    x, w = np.full((2, pairs), co.x), np.ones((2, pairs))
+    for i, v in enumerate(var):
+        dz = z[i, :pairs] * math.sqrt(v)
+        x_b = x - co.a_T * v
+        x_b[0] += dz
+        x_b[1] -= dz
+        w *= 1.0 - np.exp(np.clip(x * x_b * (-2.0 / v), _E_MIN, 0.0))
+        x = x_b
+    pay = con.barrier.h_T * np.exp(x) - con.strike
+    pay = math.exp(-co.rbar) * np.maximum(pay if con.side == "call" else -pay,
+                                          0.0)
+    pay *= 1.0 - w if con.style == "down_and_in" else w
+    means = 0.5 * (pay[0] + pay[1])
+    return (float(np.mean(means)),
+            float(np.std(means, ddof=1) / math.sqrt(pairs)),
+            float(np.mean(1.0 - w)))
+
+
+@pytest.mark.parametrize("side,style", [("call", "down_and_out"),
+                                        ("put", "down_and_in")])
+def test_estimate_is_that_of_a_whole_array_walk(td_contract, side, style):
+    # 5,001 pairs end 905 pairs into their third block
+    con = td_contract(0.0, side=side, style=style)
+    est = mc_price(100.0, 0.0, con, n_paths=10_002, n_steps=9, seed=41)
+    assert (est.price, est.std_error, est.knockout_fraction) == \
+        _whole_array_estimate(100.0, con, 10_002, 9, 41)
 
 
 # float.hex of (price, std_error, knockout_fraction) on the two-piece curves
 # with C = 0, recorded with antithetic pairs walking x = ln(S/h(t)) on the
-# ziggurat normals of one SFC64 stream per block of 256 pairs: step i of pair
-# 256 b + j is normal number 256 i + j of SeedSequence(seed, spawn_key=(b,)).
-# 3000 paths leave the last block partial and 8194 a one-pair
-# block.  The last three shapes have crossing exponents below -745 (exp
-# underflows to 0), in the subnormal band [-745, -708] and exactly at 0 (an
-# endpoint at or below the barrier).  Spot None is one part in 1e4 above
-# h(0).
+# ziggurat normals of one SFC64 stream per block of 2,048 pairs: step i of
+# pair 2048 b + j is normal number 2048 i + j of SeedSequence(seed,
+# spawn_key=(b,)).  3000 paths leave one partial block and 8194 a one-pair
+# third block.  The last three shapes have crossing exponents below -745
+# (exp underflows to 0), in the subnormal band [-745, -708] and exactly at
+# 0 (an endpoint at or below the barrier).  Spot None is one part in 1e4
+# above h(0).  Where numpy's SIMD kernels set last bits, the second record
+# is without AVX-512.
 _PINNED = [
     ((100.0, "call", "down_and_out", 3000, 8, 3),
-     ("0x1.2464e3baf9255p+3", "0x1.0082463c58fd9p-2", "0x1.34c1810bfe922p-1")),
+     (("0x1.247cbb7a00fdbp+3", "0x1.0159871a4d293p-2",
+       "0x1.34fe120bee62ap-1"),)),
     ((100.0, "call", "down_and_out", 40_000, 256, 11),
-     ("0x1.1f67868724d38p+3", "0x1.1e82dbb4f41abp-4", "0x1.355ded6a1e62fp-1")),
+     (("0x1.1d9bc3a0f17ccp+3", "0x1.1c47e77520950p-4",
+       "0x1.36bb8a0729a58p-1"),)),
     ((None, "call", "down_and_out", 8194, 256, 5),
-     ("0x1.044b17c5eb967p-7", "0x1.2a5ce1d554661p-10", "0x1.ffd3306c51f84p-1")),
+     (("0x1.50e40cfa58611p-8", "0x1.69b980095e862p-11",
+       "0x1.ffd92e6a6006dp-1"),
+      ("0x1.50e40cfa5860ep-8", "0x1.69b980095e85fp-11",
+       "0x1.ffd92e6a6006dp-1"))),
     ((250.0, "put", "down_and_in", 8194, 64, 17),
-     ("0x0.0p+0", "0x0.0p+0", "0x1.ffe001ffe0020p-64")),
+     (("0x0.0p+0", "0x0.0p+0",
+       "0x1.3fec013fec014p-61"),)),
     ((None, "put", "down_and_in", 3000, 8, 3),
-     ("0x1.c9db308dc7bd8p+3", "0x1.745e65f5f9c52p-4", "0x1.ffd493d65157cp-1")),
+     (("0x1.ca1dab0424341p+3", "0x1.74b506bde01b2p-4",
+       "0x1.ffd7dd06608ddp-1"),
+      ("0x1.ca1dab042433fp+3", "0x1.74b506bde01b2p-4",
+       "0x1.ffd7dd06608ddp-1"))),
 ]
 
 
@@ -98,22 +151,23 @@ def test_estimate_keeps_its_bits(td_contract, shape, bits):
     S = con.barrier.level(0.0) * (1.0 + 1e-4) if spot is None else spot
     est = mc_price(S, 0.0, con, n_paths=n_paths, n_steps=n_steps, seed=seed)
     assert (est.price.hex(), est.std_error.hex(),
-            est.knockout_fraction.hex()) == bits
+            est.knockout_fraction.hex()) in bits
 
 
 # float.hex of (price, std_error, knockout_fraction, ess) on the two-piece
-# curves with C = 0 at S 100, recorded while the payoffs were formed over
-# the whole (2, pairs) array after the walk.  50,001 pairs fill four chunks
-# of 49 blocks and 125,001 pairs eight of 62, the last block of each padded.
-# The ess of the second takes its last bit from numpy's SIMD kernels: the
-# first value is with AVX-512, the second without.
+# curves with C = 0 at S 100.  50,001 pairs fill two chunks of 13 blocks
+# and 125,001 pairs four of 16, on one or two workers; the last block of
+# each is partial and the last chunk padded.  Where numpy's SIMD kernels
+# set last bits, the second record is without AVX-512.
 _PINNED_MULTI_CHUNK = [
     (("put", "down_and_in", 100_002, 8, 23),
-     ("0x1.ecb64d36a5cfdp+2", "0x1.9540c9d51fe64p-6", "0x1.36084593d7118p-1",
-      ("0x1.01a6df396369cp+15",))),
+     (("0x1.eb26792d919fap+2", "0x1.93c3d1b8d607ap-6",
+       "0x1.3676afad865e3p-1", "0x1.01bd80f560498p+15"),
+      ("0x1.eb26792d919fap+2", "0x1.93c3d1b8d6079p-6",
+       "0x1.3676afad865e3p-1", "0x1.01bd80f560498p+15"))),
     (("call", "down_and_out", 250_002, 5, 29),
-     ("0x1.1cedf12842fc0p+3", "0x1.babf1c97c704bp-6", "0x1.369a1ddc92719p-1",
-      ("0x1.c5ef451168802p+15", "0x1.c5ef451168803p+15"))),
+     (("0x1.1b2914fae90d3p+3", "0x1.b76caa4571293p-6",
+       "0x1.36a82f115b82dp-1", "0x1.c691721be7d80p+15"),)),
 ]
 
 
@@ -122,58 +176,59 @@ def test_multi_chunk_estimate_keeps_its_bits(td_contract, shape, bits):
     side, style, n_paths, n_steps, seed = shape
     est = mc_price(100.0, 0.0, td_contract(0.0, side=side, style=style),
                    n_paths=n_paths, n_steps=n_steps, seed=seed)
-    assert (est.price.hex(), est.std_error.hex(),
-            est.knockout_fraction.hex()) == bits[:3]
-    assert est.ess.hex() in bits[3]
+    assert (est.price.hex(), est.std_error.hex(), est.knockout_fraction.hex(),
+            est.ess.hex()) in bits
 
 
 # float.hex of (price, std_error, knockout_fraction, ess) on the two-piece
-# curves with C = 0 at S 100, recorded with 16-step slabs of normals.  The
-# curve switch at 0.5 adds a step, so n_steps 7, 9, 17 and 33 walk 8, 10,
-# 18 and 34 steps: a whole slab of 8, and short slabs past one, two and four
-# whole slabs.  1501 and 2501 pairs leave the last block partial.  Where
-# numpy's SIMD kernels set last bits, the second record is without AVX-512.
-_PINNED_SLAB_EDGES = [
-    (("call", "down_and_out", 3002, 7, 31),
-     (("0x1.1259d221771d1p+3", "0x1.eb9d703f0662cp-3",
-       "0x1.379b519c02e2bp-1", "0x1.58ea571524f50p+9"),)),
-    (("call", "down_and_out", 3002, 9, 31),
-     (("0x1.17c54f1b317dfp+3", "0x1.eed63ae052419p-3",
-       "0x1.38260f5ced075p-1", "0x1.5dc728c3e0ef8p+9"),)),
-    (("call", "down_and_out", 3002, 17, 31),
-     (("0x1.2549cbd610557p+3", "0x1.08ad3b6b35af0p-2",
-       "0x1.36c1a81145fe7p-1", "0x1.563a73421a284p+9"),
-      ("0x1.2549cbd610558p+3", "0x1.08ad3b6b35af0p-2",
-       "0x1.36c1a81145fe7p-1", "0x1.563a73421a285p+9"))),
-    (("call", "down_and_out", 3002, 33, 31),
-     (("0x1.1e6e88ab559a0p+3", "0x1.f8a1ced7fa47ap-3",
-       "0x1.2f93ce5e12c54p-1", "0x1.5f3ee5859ed2bp+9"),
-      ("0x1.1e6e88ab559a0p+3", "0x1.f8a1ced7fa47ap-3",
-       "0x1.2f93ce5e12c54p-1", "0x1.5f3ee5859ed2ap+9"))),
-    (("put", "down_and_in", 5002, 7, 37),
-     (("0x1.de9f0b9781f2bp+2", "0x1.c462a9b5055f6p-4",
-       "0x1.363feea3c4a5ep-1", "0x1.949f0e2c3d38bp+10"),
-      ("0x1.de9f0b9781f2bp+2", "0x1.c462a9b5055f6p-4",
-       "0x1.363feea3c4a5ep-1", "0x1.949f0e2c3d38cp+10"))),
-    (("put", "down_and_in", 5002, 9, 37),
-     (("0x1.eb3f497f1c975p+2", "0x1.c087bc6cde0b9p-4",
-       "0x1.34c6915fcef2ep-1", "0x1.9e659fd891641p+10"),
-      ("0x1.eb3f497f1c973p+2", "0x1.c087bc6cde0b9p-4",
-       "0x1.34c6915fcef2ep-1", "0x1.9e659fd891641p+10"))),
-    (("put", "down_and_in", 5002, 17, 37),
-     (("0x1.e61e9147b4172p+2", "0x1.c8cdbb46577a3p-4",
-       "0x1.3593bf7a71d4fp-1", "0x1.96482d274c2cep+10"),
-      ("0x1.e61e9147b4170p+2", "0x1.c8cdbb46577a3p-4",
-       "0x1.3593bf7a71d4fp-1", "0x1.96482d274c2cep+10"))),
-    (("put", "down_and_in", 5002, 33, 37),
-     (("0x1.f1c4ba8aab558p+2", "0x1.c90e75676e537p-4",
-       "0x1.33be5babd88b8p-1", "0x1.9cd119c430cadp+10"),
-      ("0x1.f1c4ba8aab558p+2", "0x1.c90e75676e537p-4",
-       "0x1.33be5babd88b8p-1", "0x1.9cd119c430cb0p+10"))),
+# curves with C = 0 at S 100, at path counts that pad the last block: 2,049
+# pairs end one pair into their second block and 3,001 pairs 953 pairs in.
+# The curve switch at 0.5 adds a step, so n_steps 7, 9, 17 and 33 walk 8,
+# 10, 18 and 34 steps.  Where numpy's SIMD kernels set last bits, the
+# second record is without AVX-512.
+_PINNED_BLOCK_EDGES = [
+    (("call", "down_and_out", 4098, 7, 31),
+     (("0x1.17fc1bf66774dp+3", "0x1.b042c5c6040a2p-3",
+       "0x1.37cb07e31a70dp-1", "0x1.d36e2139a7d74p+9"),
+      ("0x1.17fc1bf66774dp+3", "0x1.b042c5c6040a2p-3",
+       "0x1.37cb07e31a70dp-1", "0x1.d36e2139a7d77p+9"))),
+    (("call", "down_and_out", 4098, 9, 31),
+     (("0x1.1a3d8ab799257p+3", "0x1.b211cca31f994p-3",
+       "0x1.36edfd54751aap-1", "0x1.d56315cfb81bcp+9"),
+      ("0x1.1a3d8ab799257p+3", "0x1.b211cca31f994p-3",
+       "0x1.36edfd54751aap-1", "0x1.d56315cfb81bbp+9"))),
+    (("call", "down_and_out", 4098, 17, 31),
+     (("0x1.207eb64b04d76p+3", "0x1.c1ec0d34cd171p-3",
+       "0x1.38ca460a07ccep-1", "0x1.ce4c9fd091ba3p+9"),
+      ("0x1.207eb64b04d77p+3", "0x1.c1ec0d34cd171p-3",
+       "0x1.38ca460a07ccep-1", "0x1.ce4c9fd091ba3p+9"))),
+    (("call", "down_and_out", 4098, 33, 31),
+     (("0x1.231271a0c40eep+3", "0x1.cee1709353077p-3",
+       "0x1.34eeb3530be66p-1", "0x1.c46cb49318f80p+9"),
+      ("0x1.231271a0c40eep+3", "0x1.cee1709353079p-3",
+       "0x1.34eeb3530be66p-1", "0x1.c46cb49318f80p+9"))),
+    (("put", "down_and_in", 6002, 7, 37),
+     (("0x1.f2a9d274300e5p+2", "0x1.97c0ae599e44dp-4",
+       "0x1.3524c00d777b8p-1", "0x1.f79f0211c1a5cp+10"),)),
+    (("put", "down_and_in", 6002, 9, 37),
+     (("0x1.e8decabe84a07p+2", "0x1.93f2686234a3cp-4",
+       "0x1.369305fd19fedp-1", "0x1.f4257f4ffa7e9p+10"),
+      ("0x1.e8decabe84a07p+2", "0x1.93f2686234a3cp-4",
+       "0x1.369305fd19fedp-1", "0x1.f4257f4ffa7ebp+10"))),
+    (("put", "down_and_in", 6002, 17, 37),
+     (("0x1.edc22445ec926p+2", "0x1.9c43aa33879cdp-4",
+       "0x1.37542b0d5082ep-1", "0x1.f0a7e1082e200p+10"),
+      ("0x1.edc22445ec926p+2", "0x1.9c43aa33879cdp-4",
+       "0x1.37542b0d5082ep-1", "0x1.f0a7e1082e1fdp+10"))),
+    (("put", "down_and_in", 6002, 33, 37),
+     (("0x1.ef55d131fabefp+2", "0x1.9dcdc62a7d96bp-4",
+       "0x1.367ecaa809192p-1", "0x1.f0798fb25bd0bp+10"),
+      ("0x1.ef55d131fabefp+2", "0x1.9dcdc62a7d96bp-4",
+       "0x1.367ecaa809192p-1", "0x1.f0798fb25bd0dp+10"))),
 ]
 
 
-@pytest.mark.parametrize("shape,records", _PINNED_SLAB_EDGES)
+@pytest.mark.parametrize("shape,records", _PINNED_BLOCK_EDGES)
 def test_estimate_at_slab_edges_keeps_its_bits(td_contract, shape, records):
     side, style, n_paths, n_steps, seed = shape
     est = mc_price(100.0, 0.0, td_contract(0.0, side=side, style=style),
@@ -323,27 +378,29 @@ def test_input_validation(const_contract):
 
 def test_chunking_does_not_change_the_estimate(const_contract, monkeypatch):
     import movebar.oracles.montecarlo as mc_mod
-    # 1,500 pairs end 220 pairs into their sixth block
-    base = mc_price(100.0, 0.0, const_contract, n_paths=3000, n_steps=8, seed=3)
+    # 12,000 pairs end 1,760 pairs into their sixth block
+    base = mc_price(100.0, 0.0, const_contract, n_paths=24_000, n_steps=8,
+                    seed=3)
     # _CHUNK counts pairs in whole blocks of _BLOCK
     for chunk in (3 * _BLOCK, _BLOCK):
         monkeypatch.setattr(mc_mod, "_CHUNK", chunk)
-        rechunked = mc_price(100.0, 0.0, const_contract, n_paths=3000,
+        rechunked = mc_price(100.0, 0.0, const_contract, n_paths=24_000,
                              n_steps=8, seed=3)
         assert base == rechunked
 
 
 def test_thread_count_does_not_change_the_estimate(const_contract, monkeypatch):
     import movebar.oracles.montecarlo as mc_mod
-    base = mc_price(100.0, 0.0, const_contract, n_paths=3000, n_steps=8, seed=3)
+    base = mc_price(100.0, 0.0, const_contract, n_paths=24_000, n_steps=8,
+                    seed=3)
     estimates = []
     chunks = (mc_mod._CHUNK, 3 * _BLOCK, _BLOCK)
     for workers in (1, 2, 3):
         monkeypatch.setattr(mc_mod, "_pool_size", lambda: workers)
         for chunk in chunks:
             monkeypatch.setattr(mc_mod, "_CHUNK", chunk)
-            estimates.append(mc_price(100.0, 0.0, const_contract, n_paths=3000,
-                                      n_steps=8, seed=3))
+            estimates.append(mc_price(100.0, 0.0, const_contract,
+                                      n_paths=24_000, n_steps=8, seed=3))
     assert all(est == base for est in estimates)
     # three unlocked walks, switching threads as often as possible
     monkeypatch.setattr(mc_mod, "_pool_size", lambda: 3)
@@ -351,16 +408,15 @@ def test_thread_count_does_not_change_the_estimate(const_contract, monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        est = mc_price(100.0, 0.0, const_contract, n_paths=3000, n_steps=8,
-                       seed=3)
+        est = mc_price(100.0, 0.0, const_contract, n_paths=24_000,
+                       n_steps=8, seed=3)
     finally:
         sys.setswitchinterval(interval)
     assert est == base
 
 
-def test_chunks_are_of_one_width(const_contract, monkeypatch):
-    # 50,000 pairs fill 196 blocks: four chunks of 49, none partial
-    import movebar.oracles.montecarlo as mc_mod
+def _record_widths(monkeypatch, mc_mod):
+    """Record the width in blocks of every chunk walked."""
     widths = []
     walk = mc_mod._walk_chunk
 
@@ -369,12 +425,37 @@ def test_chunks_are_of_one_width(const_contract, monkeypatch):
         return walk(seed, lo, x, *args)
 
     monkeypatch.setattr(mc_mod, "_walk_chunk", recorded)
+    return widths
+
+
+def test_chunks_are_of_one_width(const_contract, monkeypatch):
+    # 50,000 pairs fill 25 blocks: on two workers two chunks of 13, the
+    # last padded by one block
+    import movebar.oracles.montecarlo as mc_mod
+    monkeypatch.setattr(mc_mod, "_pool_size", lambda: 2)
+    widths = _record_widths(monkeypatch, mc_mod)
     mc_price(100.0, 0.0, const_contract, n_paths=100_000, n_steps=4, seed=1)
-    assert widths == [49] * 4
+    assert widths == [13] * 2
+
+
+def test_chunk_count_follows_the_workers(const_contract, monkeypatch):
+    # the triangle's 131,072 paths fill 32 blocks: four workers walk four
+    # chunks of 8, and any number of workers gives the same bits
+    import movebar.oracles.montecarlo as mc_mod
+    widths = _record_widths(monkeypatch, mc_mod)
+    estimates = {}
+    for pool in (1, 2, 3, 4, 7):
+        monkeypatch.setattr(mc_mod, "_pool_size", lambda: pool)
+        widths.clear()
+        estimates[pool] = mc_price(100.0, 0.0, const_contract,
+                                   n_paths=131_072, n_steps=16, seed=1)
+        if pool == 4:
+            assert widths == [8] * 4
+    assert all(est == estimates[1] for est in estimates.values())
 
 
 def test_memory_does_not_grow_with_the_step_count(const_contract):
-    # each worker holds one slab of normals, not its chunk's whole walk
+    # each worker holds one row of normals, not its chunk's whole walk
     peaks = []
     for n_steps in (64, 256, 1024):
         tracemalloc.start()
@@ -391,7 +472,7 @@ def test_memory_does_not_grow_with_the_step_count(const_contract):
 def test_memory_per_path_is_the_weights_and_the_pair_means(const_contract,
                                                            style, monkeypatch):
     # w (8 B per path) and the pair means (4 B) stay, plus 8 B for the
-    # knockout fraction's 1 - w; each worker's buffers (1.5 MB) do not grow
+    # knockout fraction's 1 - w; each worker's buffers (1.25 MB) do not grow
     # with n_paths, so at most two are counted on a machine of many cores
     import movebar.oracles.montecarlo as mc_mod
     pool = mc_mod._pool_size
@@ -408,9 +489,10 @@ def test_memory_per_path_is_the_weights_and_the_pair_means(const_contract,
 
 
 def test_memory_at_the_triangle_shape(const_contract, monkeypatch):
-    # 131,072 x 256 is four chunks of 64 blocks: w (1 MB), the pair means
-    # (0.5 MB) and the knockout fraction's 1 - w (1 MB), plus two workers'
-    # 1 MB slab and two 256 kB x buffers each
+    # 131,072 x 256 on two workers is two chunks of 16 blocks: w (1 MB)
+    # and the pair means (0.5 MB) stay, and the walk adds two workers'
+    # 256 kB row of normals and two 512 kB x buffers each; they are freed
+    # before the knockout fraction's 1 - w (1 MB)
     import movebar.oracles.montecarlo as mc_mod
     pool = mc_mod._pool_size
     monkeypatch.setattr(mc_mod, "_pool_size", lambda: min(pool(), 2))
@@ -423,15 +505,15 @@ def test_memory_at_the_triangle_shape(const_contract, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 5.5 * 2 ** 20
+    assert peak <= 4.5 * 2 ** 20
 
 
 def test_a_worker_failure_surfaces_after_every_thread_ends(const_contract,
                                                            monkeypatch):
     import movebar.oracles.montecarlo as mc_mod
 
-    # six chunks of one block: the calling thread prices chunks 0, 2 and 4,
-    # and worker 1 fails on chunk 1
+    # 12,000 pairs in six chunks of one block: the calling thread prices
+    # chunks 0, 2 and 4, and worker 1 fails on chunk 1
     caller = threading.current_thread()
     pair_means = mc_mod._pair_means
 
@@ -445,7 +527,8 @@ def test_a_worker_failure_surfaces_after_every_thread_ends(const_contract,
     monkeypatch.setattr(mc_mod, "_CHUNK", _BLOCK)
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="worker failed"):
-        mc_price(100.0, 0.0, const_contract, n_paths=3000, n_steps=8, seed=3)
+        mc_price(100.0, 0.0, const_contract, n_paths=24_000, n_steps=8,
+                 seed=3)
     assert threading.active_count() == before
 
 
@@ -453,8 +536,9 @@ def test_a_worker_failure_surfaces_after_every_thread_ends(const_contract,
                          [(3, 2, [0, 3]), (1, 0, [0, 1, 2, 3])])
 def test_the_caller_is_worker_zero(const_contract, monkeypatch, pool,
                                    started, own):
-    # 50,000 pairs fill four chunks: the calling thread walks the first and,
-    # with three workers, the fourth; each other worker is one new thread
+    # 50,000 pairs fill 25 blocks, four chunks of 7 with _CHUNK at 7 blocks:
+    # the calling thread walks the first and, with three workers, the
+    # fourth; each other worker is one new thread
     import movebar.oracles.montecarlo as mc_mod
     threads, walkers = [], {}
     walk = mc_mod._walk_chunk
@@ -471,10 +555,11 @@ def test_the_caller_is_worker_zero(const_contract, monkeypatch, pool,
     monkeypatch.setattr(mc_mod, "Thread", Counted)
     monkeypatch.setattr(mc_mod, "_walk_chunk", recorded)
     monkeypatch.setattr(mc_mod, "_pool_size", lambda: pool)
+    monkeypatch.setattr(mc_mod, "_CHUNK", 7 * _BLOCK)
     mc_price(100.0, 0.0, const_contract, n_paths=100_000, n_steps=4, seed=1)
     assert len(threads) == started
     caller = threading.current_thread()
-    assert sorted(lo // (49 * _BLOCK) for lo, t in walkers.items()
+    assert sorted(lo // (7 * _BLOCK) for lo, t in walkers.items()
                   if t is caller) == own
 
 

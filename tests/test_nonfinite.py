@@ -131,6 +131,31 @@ def test_lattice_forward_outside_float_range_raises_domain_error():
         mb.pde_price(1.7e308, 0.0, con)
 
 
+@pytest.mark.parametrize("name", [
+    "down_and_out_call", "forward_barrier_value", "vanilla_call",
+    "down_and_out_put", "down_and_in_put", "vanilla_put"])
+def test_closed_form_outside_float_range_raises_domain_error(name):
+    # with q = -0.1, S e^{-qbar} passes the float range, so the vanilla leg
+    # at S is inf, and the put's difference of legs nan
+    side = "put" if name.endswith("put") else "call"
+    style = "down_and_in" if "_in_" in name else "down_and_out"
+    curves = mb.CurveSet.constant(0.05, -0.1, 0.2)
+    con = mb.BarrierContract(strike=100.0, expiry=1.0, side=side, style=style,
+                             barrier=mb.barrier_from_terminal(90.0, 0.0, curves, 1.0))
+    with pytest.raises(DomainError, match=re.escape("at S=1.7e+308")):
+        PRICERS[name](1.7e308, 0.0, con)
+
+
+def test_knock_in_call_whose_vanilla_leg_overflows_keeps_its_price():
+    # the knock-in call is its image term, worth 0 this far above the
+    # barrier, though its vanilla leg at S is inf
+    curves = mb.CurveSet.constant(0.05, -0.1, 0.2)
+    con = mb.BarrierContract(strike=100.0, expiry=1.0, side="call",
+                             style="down_and_in",
+                             barrier=mb.barrier_from_terminal(90.0, 0.0, curves, 1.0))
+    assert mb.down_and_in_call(1.7e308, 0.0, con).price == 0.0
+
+
 # r = +-3000 either side of mid-horizon: e^{-rbar} from t to T is 1 at t = 0
 # but e^{750} at t = 0.75, so the lattice's intermediate values cannot be held
 @pytest.mark.parametrize("grid,error,match", [
