@@ -1,8 +1,9 @@
 """Closed-form prices for down-type options on the admissible moving barrier.
 
-Every pricer here is one call into a single core.  A *leg* is a function of
-the spot: the vanilla call quote, or the forward leg whose moneyness is
-measured against h(T).  The knockout value of a leg is
+Every pricer here is one call into a single core.  A *leg* is one
+Black-Scholes expression in the spot, e^{-qbar} S N(d) - K e^{-rbar} N(d'),
+with d measuring the moneyness of S against a level: max(K, h_T) for the
+call, h_T for the forward.  The knockout value of a leg is
 
     leg(S) - (S/h(t))^(2C+1) * leg(h(t)^2/S),
 
@@ -14,7 +15,8 @@ exactly.
 The knockout put is the call leg minus the forward leg, subtracted term by
 term; the knock-in styles come from in + out = vanilla.  Below K = h_T a
 surviving path ends at S_T > h(T) = h_T > K, so the call pays S_T - K: its
-leg is the forward leg, and the put's legs cancel to exactly 0.
+leg, measured against max(K, h_T) = h_T, is the forward leg, and the put's
+legs cancel to exactly 0.
 """
 from __future__ import annotations
 
@@ -28,8 +30,7 @@ from typing import Optional
 from .contract import BarrierContract, barrier_from_terminal
 from .curves import CurveSet
 from .errors import DomainError
-from .vanilla import (_quote, norm_cdf, quote_from_bars, vanilla_call,
-                      vanilla_put)
+from .vanilla import _leg, norm_cdf, quote_from_bars
 
 _LOG_MAX = math.log(sys.float_info.max)  # exp overflows beyond it
 
@@ -66,13 +67,10 @@ class PriceBreakdown:
 
 def _expired(S: float, contract: BarrierContract, kind: str,
              knock_in: bool) -> PriceBreakdown:
-    K, T = contract.strike, contract.expiry
+    K = contract.strike
     alive = S > contract.barrier.h_T
-    if kind == "forward":
-        intrinsic = S - K
-    else:
-        settle = vanilla_call if kind == "call" else vanilla_put
-        intrinsic = settle(S, T, K, T, contract.curves).price
+    intrinsic = {"forward": S - K, "call": max(S - K, 0.0),
+                 "put": max(K - S, 0.0)}[kind]
     if knock_in:
         price = img = 0.0 if alive else intrinsic
     else:
@@ -84,43 +82,23 @@ def _expired(S: float, contract: BarrierContract, kind: str,
                           rbar=0.0, qbar=0.0, sigma2bar=0.0, status="expired")
 
 
-def _call_leg(spot: float, K: float, h_T: float, rbar: float, qbar: float,
-              s2: float):
-    """Vanilla call quote: (price, d1, d1')."""
-    q = _quote(spot, K, rbar, qbar, s2, "call")
-    return q.price, q.d1, q.d1_prime
-
-
-def _forward_leg(spot: float, K: float, h_T: float, rbar: float, qbar: float,
-                 s2: float):
-    """e^{-qbar} spot N(db1) - K e^{-rbar} N(db1'), moneyness measured
-    against the terminal barrier level rather than the strike."""
-    sd = math.sqrt(s2)
-    db1 = (math.log(spot) - math.log(h_T) + rbar - qbar + 0.5 * s2) / sd
-    db1p = db1 - sd
-    value = (math.exp(-qbar) * spot * norm_cdf(db1)
-             - K * math.exp(-rbar) * norm_cdf(db1p))
-    return value, db1, db1p
-
-
 def _legs(kind: str, contract: BarrierContract) -> tuple:
-    """The legs of kind "call", "put" or "forward"; the put is the call leg
-    minus the forward leg, term by term.  Below K = h_T the call leg is the
-    forward leg."""
-    call = (_call_leg if contract.strike >= contract.barrier.h_T
-            else _forward_leg)
-    return {"call": (call,), "forward": (_forward_leg,),
-            "put": (call, _forward_leg)}[kind]
+    """(level, floor) of each leg of kind "call", "put" or "forward".  The
+    put is the call leg minus the forward leg, term by term; the call leg
+    is the vanilla call, floored at 0, from K = h_T up, the forward below."""
+    K, h_T = contract.strike, contract.barrier.h_T
+    forward = (h_T, -math.inf)
+    call = (K, 0.0) if K >= h_T else forward
+    return {"call": (call,), "forward": (forward,), "put": (call, forward)}[kind]
 
 
 def _leg_pair(leg, S: float, lev: float, contract: BarrierContract, bars):
     """The leg at S and at the image spot h*(h/S), each (value, d, d')."""
-    K, h_T = contract.strike, contract.barrier.h_T
     image = lev * (lev / S)
     if image == 0.0:
         raise DomainError(f"image spot h(t)^2/S underflows to 0 at S={S}, "
                           f"h(t)={lev}; spot too far above the barrier")
-    return leg(S, K, h_T, *bars), leg(image, K, h_T, *bars)
+    return tuple(_leg(s, contract.strike, *bars, *leg) for s in (S, image))
 
 
 def _closed_form(S: float, t: float, contract: BarrierContract, kind: str,
@@ -134,11 +112,11 @@ def _closed_form(S: float, t: float, contract: BarrierContract, kind: str,
     lev, x, bars = contract.locate(S, min(t, contract.expiry))
     if t >= contract.expiry:
         return _expired(S, contract, kind, knock_in)
-    barrier = contract.barrier
+    barrier, K = contract.barrier, contract.strike
     d = (None, None, None, None)
     power = None
     if knock_in and S <= lev:
-        q = quote_from_bars(S, contract.strike, *bars, kind)
+        q = quote_from_bars(S, K, *bars, kind)
         price = van = img = q.price
         d = (q.d1, q.d1_prime, None, None)
         status = "knocked_in"
@@ -146,9 +124,9 @@ def _closed_form(S: float, t: float, contract: BarrierContract, kind: str,
         price = van = img = 0.0
         status = "knocked_out"
     else:
-        legs = _legs(kind, contract)
-        pairs = [_leg_pair(leg, S, lev, contract, bars) for leg in legs]
-        if legs == (_forward_leg,) * 2:
+        pairs = [_leg_pair(leg, S, lev, contract, bars)
+                 for leg in _legs(kind, contract)]
+        if kind == "put" and K < barrier.h_T:
             images = [0.0, 0.0]  # the put below K = h_T: they cancel
         else:
             log_power = (2.0 * barrier.C + 1.0) * x
@@ -166,10 +144,10 @@ def _closed_form(S: float, t: float, contract: BarrierContract, kind: str,
         status = "knocked_out" if S == lev and not knock_in else "live"
         if not knock_in:
             price = out
-        elif legs == (_call_leg,):
+        elif kind == "call" and K >= barrier.h_T:
             price = img  # vanilla - out: the call's vanilla leg cancels
         else:
-            van = quote_from_bars(S, contract.strike, *bars, kind).price
+            van = quote_from_bars(S, K, *bars, kind).price
             price = img = van - out
     if not math.isfinite(price):
         raise DomainError(f"{kind} price is {price} at S={S}: outside the "

@@ -55,6 +55,7 @@ import numpy as np
 
 from ..contract import BarrierContract
 from ..errors import AccuracyError, DomainError, check_integers
+from ..vanilla import _discount
 from .heatkernel import to_heat_coords
 from .pde import _time_grid
 
@@ -182,7 +183,12 @@ def mc_price(S: float, t: float, contract: BarrierContract,
     var = sig * sig * np.diff(times)
     drift = -co.a_T * var
     sd = np.sqrt(var)
-    disc = math.exp(-co.rbar)
+    disc = _discount("rbar", co.rbar)
+    with np.errstate(divide="ignore", over="ignore"):
+        coef = -2.0 / var
+    if not np.isfinite(coef).all():
+        raise AccuracyError(f"step variance {var.min():.3g} is too small: "
+                            f"-2/variance leaves the float range")
 
     pairs = n_paths // 2
     # pair _BLOCK * b + j is column j of block b, row 0 walking +z and row 1
@@ -200,7 +206,6 @@ def mc_price(S: float, t: float, contract: BarrierContract,
     bufs = [(np.empty((2, width, _BLOCK)), np.empty((width, _BLOCK)),
              np.empty((2, width, _BLOCK)))
             for _ in range(workers)]
-    coef = -2.0 / var
     errors = []
 
     def price_chunks(k):

@@ -85,12 +85,16 @@ def _time_grid(t: float, T: float, n_time: int, contract: BarrierContract):
     extra = {b for curve in (cs.r, cs.q, cs.sigma) for b in curve.breakpoints
              if t < b < T}
     grid = sorted(set(base) | extra)
-    # drop near-duplicates (a breakpoint landing on a uniform node)
+    # drop near-duplicates (a breakpoint landing on a uniform node): a time
+    # closer to the last node kept than 1e-12 of the horizon or 8 ulps of T,
+    # the nodes' own rounding; a short horizon keeps its uniform nodes
     out = [grid[0]]
-    tiny = 1e-12 * max(T - t, 1.0)
+    tiny = max(1e-12 * (T - t), 8.0 * math.ulp(T))
     for g in grid[1:]:
         if g - out[-1] > tiny:
             out.append(g)
+    if len(out) == 1:  # the whole horizon within the rounding: one step
+        out.append(T)
     out[-1] = T
     return out
 
@@ -186,6 +190,9 @@ def _solve(S: float, t: float, contract: BarrierContract, grid: PdeGrid) -> floa
     # the solve's tables, one per distinct system; the uniform steps differ
     # in their last bits, so a step is keyed by its length in uniform steps
     h = (contract.expiry - t) / grid.n_time
+    if h == 0.0:
+        raise AccuracyError(f"step (T - t)/n_time underflows to 0 at T - t = "
+                            f"{contract.expiry - t:.3g}, n_time={grid.n_time}")
     factors = {}
     try:
         with np.errstate(over="ignore", invalid="ignore"):

@@ -40,17 +40,30 @@ def quote_from_bars(S: float, K: float, rbar: float, qbar: float,
                     sigma2bar: float, side: str = "call") -> VanillaQuote:
     """Vanilla quote from pre-integrated curve quantities.  Raises
     DomainError naming S if the price is not finite."""
-    q = _quote(S, K, rbar, qbar, sigma2bar, side)
-    if not math.isfinite(q.price):
-        raise DomainError(f"vanilla {side} price is {q.price} at S={S}: "
+    price, d1, d1p = _leg(S, K, rbar, qbar, sigma2bar, K, 0.0)
+    if side != "call":  # _leg has formed both discount factors
+        price = max(K * math.exp(-rbar) * norm_cdf(-d1p)
+                    - math.exp(-qbar) * S * norm_cdf(-d1), 0.0)
+    if not math.isfinite(price):
+        raise DomainError(f"vanilla {side} price is {price} at S={S}: "
                           f"outside the float range")
-    return q
+    return VanillaQuote(price=price, d1=d1, d1_prime=d1p)
 
 
-def _quote(S: float, K: float, rbar: float, qbar: float, sigma2bar: float,
-           side: str) -> VanillaQuote:
-    """quote_from_bars without the check on the price: a barrier leg may
-    leave the float range where the knock-in call's legs cancel."""
+def _discount(name: str, value: float) -> float:
+    """e^(-value); DomainError naming the integral if that overflows."""
+    try:
+        return math.exp(-value)
+    except OverflowError:
+        raise DomainError(f"e^(-{name}) overflows at {name}={value}") from None
+
+
+def _leg(S: float, K: float, rbar: float, qbar: float, sigma2bar: float,
+         ref: float, floor: float):
+    """(max(e^{-qbar} S N(d) - K e^{-rbar} N(d'), floor), d, d'), d measuring
+    the moneyness of S against the level ref and d' = d - sqrt(sigma2bar);
+    the vanilla call is the leg at ref = K, floor 0.  The value may leave
+    the float range: the knock-in call's legs cancel there."""
     _check_spot_strike(S, K)
     for name, value in (("rbar", rbar), ("qbar", qbar), ("sigma2bar", sigma2bar)):
         if not math.isfinite(value):
@@ -58,16 +71,11 @@ def _quote(S: float, K: float, rbar: float, qbar: float, sigma2bar: float,
     if not sigma2bar > 0.0:
         raise DomainError(f"sigma2bar must be positive, got {sigma2bar}")
     sd = math.sqrt(sigma2bar)
-    # log difference, not log of ratio: survives extreme S/K magnitudes
-    d1 = (math.log(S) - math.log(K) + rbar - qbar + 0.5 * sigma2bar) / sd
-    d1p = d1 - sd
-    disc_r = math.exp(-rbar)
-    disc_q = math.exp(-qbar)
-    if side == "call":
-        price = disc_q * S * norm_cdf(d1) - K * disc_r * norm_cdf(d1p)
-    else:
-        price = K * disc_r * norm_cdf(-d1p) - disc_q * S * norm_cdf(-d1)
-    return VanillaQuote(price=max(price, 0.0), d1=d1, d1_prime=d1p)
+    # log difference, not log of ratio: survives extreme S/ref magnitudes
+    d = (math.log(S) - math.log(ref) + rbar - qbar + 0.5 * sigma2bar) / sd
+    value = (_discount("qbar", qbar) * S * norm_cdf(d)
+             - K * _discount("rbar", rbar) * norm_cdf(d - sd))
+    return max(value, floor), d, d - sd
 
 
 def _vanilla(S: float, t: float, K: float, T: float, curves: CurveSet,

@@ -517,3 +517,87 @@ def test_breakdowns_keep_their_bits(td_contract, spot):
         assert got == PINNED[spot][name], name
         assert _hexed(d.values()) == " ".join(PINNED_BARS), name
     assert _hexed(mb.d_values(S, t, td_contract(0.5))) == PINNED[spot]["d_values"]
+
+
+# float.hex pins beside PINNED, recorded before the vanilla quote and both
+# barrier legs shared one leg function.  Below K = h_T, at K 80 and the live
+# spot 110: the call's leg is the forward leg, the put's legs cancel, and the
+# knock-ins follow from in + out = vanilla.  Fields as in PINNED; every row
+# carries PINNED_BARS too.
+PINNED_LOW_STRIKE_D = ("0x1.1d90277a780dep+0 0x1.c7ed1bc1bce89p-1 "
+                       "-0x1.1d90277a780ccp+0 -0x1.5729c11411a66p+0")
+PINNED_LOW_STRIKE = {
+    "down_and_out_call": ("0x1.cbdcdfc4e26d6p+4 0x1.fa94a62c2370ap+4 "
+                          "0x1.75be333a0819ep+1", "0x1.a6e746a46ed71p+0 live"),
+    "down_and_in_call": ("0x1.bdbadb14e1d10p+1 0x1.01ca1d93bf53cp+5 "
+                         "0x1.bdbadb14e1d10p+1", "0x1.a6e746a46ed71p+0 live"),
+    "down_and_out_put": ("0x0.0p+0 0x0.0p+0 0x0.0p+0", "None live"),
+    "down_and_in_put": ("0x1.221ebeaeaa3a8p-1 0x1.221ebeaeaa3a8p-1 "
+                        "0x1.221ebeaeaa3a8p-1", "None live"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_LOW_STRIKE))
+def test_low_strike_breakdowns_keep_their_bits(td_contract, name):
+    side = "put" if name.endswith("put") else "call"
+    style = "down_and_in" if "_in_" in name else "down_and_out"
+    out = getattr(mb, name)(110.0, 0.25, td_contract(0.5, side=side,
+                                                     style=style, strike=80.0))
+    d = out.to_dict()
+    terms, tail = PINNED_LOW_STRIKE[name]
+    assert _hexed([d.pop(k) for k in ("price", "vanilla_term", "image_term",
+                                      "d1", "d1_prime", "d2", "d2_prime",
+                                      "power_factor", "status")]) == (
+        f"{terms} {PINNED_LOW_STRIKE_D} {tail}")
+    assert _hexed(d.values()) == " ".join(PINNED_BARS)
+    assert _hexed(mb.d_values(110.0, 0.25, td_contract(0.5, strike=80.0))) == (
+        PINNED_LOW_STRIKE_D)
+
+
+# at t = T every row settles from the payoff: (price, vanilla_term,
+# image_term) by (strike, spot) on either side of h_T = 90, in the order
+# down_and_out_call, down_and_in_call, forward_barrier_value,
+# down_and_out_put, down_and_in_put
+PINNED_EXPIRED = {
+    (100.0, 110.0): ("10 10 0", "0 10 0", "10 10 0", "0 0 0", "0 0 0"),
+    (100.0, 85.0): ("0 0 0", "0 0 0", "0 -15 -15", "0 15 15", "15 15 15"),
+    (80.0, 110.0): ("30 30 0", "0 30 0", "30 30 0", "0 0 0", "0 0 0"),
+    (80.0, 85.0): ("0 5 5", "5 5 5", "0 5 5", "0 0 0", "0 0 0"),
+}
+
+
+@pytest.mark.parametrize("K,S", sorted(PINNED_EXPIRED))
+def test_expired_breakdowns_keep_their_bits(td_contract, K, S):
+    for (name, side, style), want in zip([
+            ("down_and_out_call", "call", "down_and_out"),
+            ("down_and_in_call", "call", "down_and_in"),
+            ("forward_barrier_value", "call", "down_and_out"),
+            ("down_and_out_put", "put", "down_and_out"),
+            ("down_and_in_put", "put", "down_and_in")], PINNED_EXPIRED[(K, S)]):
+        d = getattr(mb, name)(S, 1.0, td_contract(0.5, side=side, style=style,
+                                                  strike=K)).to_dict()
+        got = [d.pop(k) for k in ("price", "vanilla_term", "image_term")]
+        assert _hexed(got) == _hexed(float(v) for v in want.split()), name
+        assert _hexed(d.values()) == (
+            "None None None None 0x1.0000000000000p-1 None 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 expired"), name
+
+
+# vanilla quotes (price, d1, d1') at t = 0.25, K = 100 on the two-piece
+# curves, by spot: the call, then the put
+PINNED_VANILLA = {
+    80.0: ("0x1.050b6caf5a938p+1", "0x1.3655e0860588cp+4",
+           "-0x1.8949627bcd8e7p-1 -0x1.fc7c95af00c1ap-1"),
+    100.0: ("0x1.411c408294004p+3", "0x1.e5c6c536c0538p+2",
+            "0x1.c9f49f49f49f4p-3 -0x1.6c16c16c16c80p-10"),
+    120.0: ("0x1.89025a7308ee0p+4", "0x1.28a84cddd7058p+1",
+            "0x1.08af94884ae90p+0 0x1.9e2bf5dd629edp-1"),
+}
+
+
+@pytest.mark.parametrize("S", sorted(PINNED_VANILLA))
+def test_vanilla_quotes_keep_their_bits(td_curves, S):
+    call, put, ds = PINNED_VANILLA[S]
+    for fn, price in ((mb.vanilla_call, call), (mb.vanilla_put, put)):
+        q = fn(S, 0.25, 100.0, 1.0, td_curves)
+        assert _hexed((q.price, q.d1, q.d1_prime)) == f"{price} {ds}"

@@ -302,6 +302,19 @@ def test_agreement_at_low_step_counts(request, curves, side, style, n_steps):
     assert abs(est.price - closed) <= 4.0 * est.std_error
 
 
+def test_agreement_a_picosecond_before_expiry():
+    # T - t = 1e-12 is 64 uniform steps, none dropped as a near-duplicate
+    curves = mb.CurveSet.constant(0.05, 0.01, 0.2)
+    con = mb.BarrierContract(strike=100.0, expiry=1.0, side="call",
+                             style="down_and_out",
+                             barrier=mb.barrier_from_terminal(90.0, 0.0, curves, 1.0))
+    t = 1.0 - 1e-12
+    closed = mb.down_and_out_call(100.0, t, con).price
+    est = mc_price(100.0, t, con, n_paths=100_000, n_steps=64, seed=2718)
+    assert est.n_steps == 64
+    assert abs(est.price - closed) <= 4.0 * est.std_error
+
+
 @pytest.mark.parametrize("C", [-1.25, 0.0, 3.0])
 @pytest.mark.parametrize("side", ["call", "put"])
 def test_spot_on_the_barrier_is_knocked_out_at_the_first_step(td_contract,

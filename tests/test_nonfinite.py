@@ -8,6 +8,7 @@ AccuracyError rather than returning inf or an untyped error.
 """
 import math
 import re
+import warnings
 
 import pytest
 
@@ -95,11 +96,12 @@ def test_no_time_to_expiry_names_the_time(const_contract, name, t):
         fn(100.0, t, const_contract)
 
 
-def _flat(C, side="call", h_T=90.0):
-    curves = mb.CurveSet.constant(0.05, 0.01, 0.2)
-    bar = mb.barrier_from_terminal(h_T, C, curves, 1.0)
-    return mb.BarrierContract(strike=100.0, expiry=1.0, side=side,
-                              style="down_and_out", barrier=bar)
+def _flat(C, side="call", h_T=90.0, style="down_and_out", K=100.0, T=1.0,
+          r=0.05, q=0.01):
+    curves = mb.CurveSet.constant(r, q, 0.2)
+    bar = mb.barrier_from_terminal(h_T, C, curves, T)
+    return mb.BarrierContract(strike=K, expiry=T, side=side, style=style,
+                              barrier=bar)
 
 
 def test_simulation_with_overflowing_payoffs_raises_accuracy_error():
@@ -215,3 +217,49 @@ def test_empty_window_with_tiny_prefactor_is_worth_zero():
     # xi = 686, so no kernel mass reaches the strike's kink at xi = 0.105 and
     # the window between the barrier and the strike is empty
     assert mb.heat_kernel_price(1e300, 0.0, _flat(-2.0, "put")) == 0.0
+
+
+@pytest.mark.parametrize("name,K", [
+    ("forward_barrier_value", 100.0), ("forward_barrier_value", 80.0),
+    ("down_and_out_call", 80.0), ("down_and_in_call", 80.0),
+    ("down_and_out_put", 80.0), ("down_and_in_put", 80.0), ("d_values", 80.0)])
+def test_underflowing_total_variance_raises_domain_error(name, K):
+    # at expiry 5e-324, sigma2bar = 0.04 * T is 0.0: the legs measured
+    # against h_T refuse it as the vanilla quote does
+    side = "put" if name.endswith("put") else "call"
+    style = "down_and_in" if "_in_" in name else "down_and_out"
+    fn = mb.d_values if name == "d_values" else PRICERS[name]
+    with pytest.raises(DomainError, match="sigma2bar must be positive, got 0.0"):
+        fn(100.0, 0.0, _flat(0.0, side, style=style, K=K, T=5e-324))
+
+
+@pytest.mark.parametrize("K", [100.0, 80.0])
+@pytest.mark.parametrize("name", sorted(set(PRICERS) - {"heat_kernel_price",
+                                                       "pde_price"}))
+def test_overflowing_discount_factor_raises_domain_error(name, K):
+    # r = q = -800 keeps h(t) at 90, but e^{-rbar} and e^{-qbar} are e^800
+    side = "put" if name.endswith("put") else "call"
+    style = "down_and_in" if "_in_" in name else "down_and_out"
+    with pytest.raises(DomainError, match=r"e\^\(-[rq]bar\) overflows at "
+                                          r"[rq]bar=-800\.0"):
+        PRICERS[name](100.0, 0.0, _flat(0.0, side, style=style, K=K,
+                                        r=-800.0, q=-800.0))
+
+
+@pytest.mark.parametrize("T,variance", [(1e-320, "9.88e-323"), (5e-324, "0")])
+def test_simulation_refuses_a_step_variance_below_the_float_range(T, variance):
+    # -2/variance, the crossing exponent's factor, overflows or divides by 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(mb.AccuracyError,
+                           match=f"step variance {variance} is too small"):
+            mb.mc_price(100.0, 0.0, _flat(0.0, T=T),
+                        n_paths=1000, n_steps=4)
+
+
+def test_lattice_refuses_a_step_that_underflows():
+    # (T - t)/n_time is 0.0; a put struck below h_T escapes the dx rules
+    con = _flat(0.0, "put", K=80.0, T=5e-324)
+    with pytest.raises(mb.AccuracyError,
+                       match=re.escape("step (T - t)/n_time underflows to 0")):
+        mb.pde_price(100.0, 0.0, con)

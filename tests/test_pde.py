@@ -148,6 +148,18 @@ def test_time_grid_hits_curve_breakpoints(td_contract):
     assert len(grid8) == 9
 
 
+@pytest.mark.parametrize("t,T", [(1.0 - 1e-12, 1.0), (0.0, 1e-13),
+                                 (0.0, 5e-324)])
+def test_time_grid_keeps_the_steps_of_a_short_horizon(const_contract, t, T):
+    # near-duplicates are judged against the horizon and the times' own
+    # rounding, not an absolute 1e-12, so every uniform node stays; a
+    # horizon of one float spacing still makes one step
+    n = 1 if T == 5e-324 else 64
+    grid = _time_grid(t, T, n, const_contract)
+    assert len(grid) == n + 1 and (grid[0], grid[-1]) == (t, T)
+    assert all(b > a for a, b in zip(grid, grid[1:]))
+
+
 def test_matches_closed_form_constant_curves(const_contract):
     closed = mb.down_and_out_call(100.0, 0.0, const_contract).price
     got = pde_price(100.0, 0.0, const_contract)  # default 400x400 grid
