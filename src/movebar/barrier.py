@@ -84,12 +84,15 @@ def _expired(S: float, contract: BarrierContract, kind: str,
 
 def _legs(kind: str, contract: BarrierContract) -> tuple:
     """(level, floor) of each leg of kind "call", "put" or "forward".  The
-    put is the call leg minus the forward leg, term by term; the call leg
-    is the vanilla call, floored at 0, from K = h_T up, the forward below."""
+    put is the call leg minus the forward leg, term by term.  The call leg
+    is measured against max(K, h_T) and floored at 0, its payoff being
+    never negative: the vanilla call from K = h_T up and the floored
+    forward leg below, where the put takes it for both legs and cancels."""
     K, h_T = contract.strike, contract.barrier.h_T
+    call = (max(K, h_T), 0.0)
     forward = (h_T, -math.inf)
-    call = (K, 0.0) if K >= h_T else forward
-    return {"call": (call,), "forward": (forward,), "put": (call, forward)}[kind]
+    put = (call, forward if K >= h_T else call)
+    return {"call": (call,), "forward": (forward,), "put": put}[kind]
 
 
 def _leg_pair(leg, S: float, lev: float, contract: BarrierContract, bars):

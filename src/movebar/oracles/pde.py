@@ -37,6 +37,8 @@ from .heatkernel import to_heat_coords
 _DOMAIN_SDS = 8.0
 # number of maturity-adjacent steps replaced by implicit half-steps
 _SMOOTHING_STEPS = 2
+# the most nodes a refusal suggests; past it the input is what cannot be held
+_MAX_NODES = 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -157,17 +159,22 @@ def _solve(S: float, t: float, contract: BarrierContract, grid: PdeGrid) -> floa
         kink = math.log(K) - math.log(h_T)
         limits = [(1.0 / abs(C + 0.5) if C != -0.5 else math.inf,
                    f"1 / |C + 1/2|, where the cell Peclet number reaches 1 "
-                   f"at C={C}")]
+                   f"at C={C}", f"C={C} is beyond")]
         if min(co.x, abs(co.x - kink)) < _DOMAIN_SDS * sd:
             limits.append((sd, "sqrt(tau), the diffusion's standard "
                            "deviation, the kink or the barrier lying within "
-                           f"{_DOMAIN_SDS:g} sqrt(tau) of the spot"))
-        spacing, name = min(limits)
+                           f"{_DOMAIN_SDS:g} sqrt(tau) of the spot",
+                           f"the horizon T - t = {contract.expiry - t:.3g} "
+                           f"is below"))
+        spacing, name, beyond = min(limits)
         if dx > spacing:
+            need = grid.x_max / spacing
             raise AccuracyError(
                 f"grid spacing dx = {dx:.3g} on n_space={n} exceeds "
-                f"{spacing:.3g} = {name}: the lattice cannot resolve it; "
-                f"n_space={math.ceil(grid.x_max / spacing)} brings dx there")
+                f"{spacing:.3g} = {name}: the lattice cannot resolve it; " + (
+                    f"n_space={math.ceil(need)} brings dx there"
+                    if need <= _MAX_NODES else f"{beyond} what a lattice of "
+                    f"up to {_MAX_NODES:,} nodes resolves"))
 
     times = _time_grid(t, contract.expiry, grid.n_time, contract)
 

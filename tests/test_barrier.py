@@ -261,6 +261,19 @@ def test_put_below_terminal_barrier_needs_no_power_factor(C):
         assert mb.price_contract(S0, 0.0, con).power_factor is None
 
 
+def test_call_leg_below_terminal_barrier_is_floored():
+    # e^{-qbar} = e^{-757.5} underflows to 0, so the forward leg rounds to
+    # -K e^{-rbar} = -1.1e-236; as the call's leg it is floored at 0
+    curves = mb.CurveSet.constant(365.0, 505.0, 0.2)
+    con = mb.BarrierContract(strike=66.0, expiry=1.5, side="call",
+                             style="down_and_out",
+                             barrier=mb.barrier_from_terminal(98.0, 0.0, curves, 1.5))
+    out = mb.down_and_out_call(1e96, 0.0, con)
+    assert (out.price, out.vanilla_term, out.image_term) == (0.0, 0.0, 0.0)
+    assert mb.down_and_in_call(1e96, 0.0, con).price == 0.0
+    assert mb.forward_barrier_value(1e96, 0.0, con).price < 0.0  # unfloored
+
+
 @pytest.mark.parametrize("strike", [80.0, 90.0, 100.0])
 @pytest.mark.parametrize("side", ["call", "put"])
 def test_breakdown_carries_d_values_at_every_strike(td_contract, side, strike):

@@ -445,3 +445,28 @@ def test_missing_required_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["price", "--curves", FLAT, "--contract", KNOCKOUT_CALL])
     assert exc.value.code == 2
+
+
+# float edges through main: sigma^2 T underflowing to 0 and e^800 discount
+# factors exit 2; the K 80 put at C 400, whose power factor overflows,
+# validates with the closed form and every oracle at exactly 0
+@pytest.mark.parametrize("command, r, q, K, T, side, C, named", [
+    ("price", 0.05, 0.0, 80.0, 5e-324, "call", 0.0, "sigma2bar must"),
+    ("price", -800.0, -800.0, 100.0, 1.0, "call", -1.25, "qbar=-800.0"),
+    ("validate", 0.05, 0.02, 80.0, 1.0, "put", 400.0, ""),
+], ids=["expiry-5e-324", "r=q=-800", "put-K80-C400"])
+def test_float_edges_through_main(capsys, tmp_path, command, r, q, K, T,
+                                  side, C, named):
+    cur, con = tmp_path / "cur.json", tmp_path / "con.json"
+    curves = {"r": r, "q": q, "sigma": 0.2}
+    cur.write_text(json.dumps({k: {"breakpoints": [0.0], "values": [v]}
+                               for k, v in curves.items()}))
+    con.write_text(json.dumps({"strike": K, "expiry": T, "side": side,
+                               "style": "down_and_out",
+                               "barrier": {"h_T": 90.0, "C": C}}))
+    rc, out, err = run(capsys, command, "--curves", str(cur), "--contract",
+                       str(con), "--spot", "100", "--time", "0")
+    assert (rc, named in err) == (2 if named else 0, True)
+    if rc == 0:
+        assert [(row["value"], row["reference"]) for row in
+                json.loads(out)["results"]] == [(0.0, 0.0)] * 3

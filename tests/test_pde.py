@@ -109,6 +109,13 @@ def test_unresolved_diffusion_near_kink_or_barrier_is_an_accuracy_error(
         pde_price(S, 0.0, _flat(0.0, side, h_T, K, T))
 
 
+def test_resolution_refusal_past_any_runnable_grid_names_the_horizon():
+    # dx / sqrt(tau) is 1e157 at expiry 1e-320: no node count to name
+    with pytest.raises(AccuracyError, match=r"; the horizon T - t = 1e-320 "
+                       r"is below what a lattice of up to 10,000,000 nodes"):
+        pde_price(100.0, 0.0, _flat(0.0, T=1e-320))
+
+
 # dx / sqrt(tau) above 1 is harmless hundreds of sqrt(tau) from the kink and
 # the barrier, where the value is the forward: 2.0 and 1.03 near expiry,
 # tau underflowing to 0 (sigma^2 (T - t) = 1e-16 * 1e-310, where the closed
