@@ -10,7 +10,7 @@ from .curves import SIGMA_MIN, CurveSet, TermStructure, load_curves
 from .contract import (BarrierContract, MovingBarrier, barrier_from_terminal,
                        c_from_levels, contract_from_dict, load_contract)
 from .vanilla import VanillaQuote, norm_cdf, vanilla_call, vanilla_put
-from .barrier import (PriceBreakdown, constant_case_parity_gap, d_values,
+from .barrier import (PriceBreakdown, constant_case_parity_gap,
                       down_and_in_call, down_and_in_put, down_and_out_call,
                       down_and_out_put, forward_barrier_value, price_contract)
 from .errors import AccuracyError, DomainError, LoadError
@@ -22,7 +22,7 @@ __all__ = [
     "MovingBarrier", "BarrierContract", "barrier_from_terminal",
     "c_from_levels", "contract_from_dict", "load_contract",
     "VanillaQuote", "norm_cdf", "vanilla_call", "vanilla_put",
-    "PriceBreakdown", "d_values", "down_and_out_call", "down_and_in_call",
+    "PriceBreakdown", "down_and_out_call", "down_and_in_call",
     "down_and_out_put", "down_and_in_put", "forward_barrier_value",
     "price_contract", "constant_case_parity_gap",
     "HeatCoords", "to_heat_coords", "heat_kernel_price",

@@ -30,7 +30,7 @@ from typing import Optional
 from .contract import BarrierContract, barrier_from_terminal
 from .curves import CurveSet
 from .errors import DomainError
-from .vanilla import _leg, norm_cdf, quote_from_bars
+from .vanilla import _leg, _payoff, norm_cdf, quote_from_bars
 
 _LOG_MAX = math.log(sys.float_info.max)  # exp overflows beyond it
 
@@ -65,23 +65,6 @@ class PriceBreakdown:
         return asdict(self)
 
 
-def _expired(S: float, contract: BarrierContract, kind: str,
-             knock_in: bool) -> PriceBreakdown:
-    K = contract.strike
-    alive = S > contract.barrier.h_T
-    intrinsic = {"forward": S - K, "call": max(S - K, 0.0),
-                 "put": max(K - S, 0.0)}[kind]
-    if knock_in:
-        price = img = 0.0 if alive else intrinsic
-    else:
-        price = intrinsic if alive else 0.0
-        img = intrinsic - price
-    return PriceBreakdown(price=price, vanilla_term=intrinsic, image_term=img,
-                          d1=None, d1_prime=None, d2=None, d2_prime=None,
-                          C=contract.barrier.C, power_factor=None,
-                          rbar=0.0, qbar=0.0, sigma2bar=0.0, status="expired")
-
-
 def _legs(kind: str, contract: BarrierContract) -> tuple:
     """(level, floor) of each leg of kind "call", "put" or "forward".  The
     put is the call leg minus the forward leg, term by term.  The call leg
@@ -110,15 +93,20 @@ def _closed_form(S: float, t: float, contract: BarrierContract, kind: str,
 
     Knockout styles return leg(S) - power * leg(image); knock-in calls and
     puts return vanilla minus that, and the vanilla itself once S <= h(t).
+    From t = T on, every style settles at the payoff.
     """
     # t first in min(): a NaN time reaches the check
     lev, x, bars = contract.locate(S, min(t, contract.expiry))
-    if t >= contract.expiry:
-        return _expired(S, contract, kind, knock_in)
     barrier, K = contract.barrier, contract.strike
     d = (None, None, None, None)
     power = None
-    if knock_in and S <= lev:
+    if t >= contract.expiry:  # settles; the bars over [T, T] are 0.0
+        van = _payoff(kind, S, K)
+        # a knockout above h_T pays, and a knock-in at or below it
+        price = van if (S > lev) != knock_in else 0.0
+        img = price if knock_in else van - price
+        status = "expired"
+    elif knock_in and S <= lev:
         q = quote_from_bars(S, K, *bars, kind)
         price = van = img = q.price
         d = (q.d1, q.d1_prime, None, None)
@@ -159,23 +147,6 @@ def _closed_form(S: float, t: float, contract: BarrierContract, kind: str,
                           d1=d[0], d1_prime=d[1], d2=d[2], d2_prime=d[3],
                           C=barrier.C, power_factor=power, rbar=bars[0],
                           qbar=bars[1], sigma2bar=bars[2], status=status)
-
-
-def d_values(S: float, t: float, contract: BarrierContract):
-    """The four d arguments (d1, d1', d2, d2') of the knockout call, whose
-    leg is the forward leg below K = h_T.
-
-    d2 is d1 evaluated at the image spot h(t)^2/S; primes subtract the total
-    volatility sqrt(sigma2bar).  Computed through the same leg evaluation
-    the pricers use, so a breakdown carries these exact numbers.
-    """
-    if t >= contract.expiry:
-        raise DomainError(f"d values need t < T (sigma2bar > 0), "
-                          f"got t={t}, T={contract.expiry}")
-    lev, _, bars = contract.locate(S, t)
-    leg, = _legs("call", contract)
-    (_, d1, d1p), (_, d2, d2p) = _leg_pair(leg, S, lev, contract, bars)
-    return d1, d1p, d2, d2p
 
 
 def down_and_out_call(S: float, t: float, contract: BarrierContract) -> PriceBreakdown:

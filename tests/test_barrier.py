@@ -58,33 +58,31 @@ def test_knockin_put_anchor(a_contracts, const_curves):
 
 
 def test_d_value_anchors(a_contracts):
-    con = a_contracts("call", "down_and_out")
-    d1, d1p, d2, d2p = mb.d_values(S0, 0.0, con)
-    assert d1 == pytest.approx(0.35, rel=1e-12)
-    assert d1p == pytest.approx(0.15, rel=1e-12)
-    assert d2 == pytest.approx(-0.703605156578263012, rel=1e-13)
-    assert d2p == pytest.approx(-0.903605156578263012, rel=1e-13)
-    # and the breakdown carries the same numbers
-    out = mb.down_and_out_call(S0, 0.0, con)
-    assert (out.d1, out.d1_prime, out.d2, out.d2_prime) == (d1, d1p, d2, d2p)
+    out = mb.down_and_out_call(S0, 0.0, a_contracts("call", "down_and_out"))
+    assert out.d1 == pytest.approx(0.35, rel=1e-12)
+    assert out.d1_prime == pytest.approx(0.15, rel=1e-12)
+    assert out.d2 == pytest.approx(-0.703605156578263012, rel=1e-13)
+    assert out.d2_prime == pytest.approx(-0.903605156578263012, rel=1e-13)
 
 
 def test_d2_is_d1_at_image_spot(td_contract):
     con = td_contract(0.7)
     lev = con.barrier.level(0.2)
     S = 1.2 * lev
-    d1, _, d2, d2p = mb.d_values(S, 0.2, con)
+    out = mb.down_and_out_call(S, 0.2, con)
     rbar, qbar, s2 = con.curves.bars(0.2, T0)
     sd = math.sqrt(s2)
     # textbook form with the explicit image spot h^2/S
     ref = (math.log(lev * lev / (S * K0)) + rbar - qbar + 0.5 * s2) / sd
-    assert d2 == pytest.approx(ref, rel=1e-12)
-    assert d2p == d2 - sd
+    assert out.d2 == pytest.approx(ref, rel=1e-12)
+    assert out.d2_prime == out.d2 - sd
 
 
 def test_d_values_need_time_to_expiry(a_contracts):
-    with pytest.raises(DomainError):
-        mb.d_values(S0, T0, a_contracts("call", "down_and_out"))
+    # at t = T no volatility is left to scale a d by: the breakdown has none
+    out = mb.down_and_out_call(S0, T0, a_contracts("call", "down_and_out"))
+    assert out.status == "expired"
+    assert (out.d1, out.d1_prime, out.d2, out.d2_prime) == (None,) * 4
 
 
 def test_power_factor_value(a_contracts):
@@ -261,27 +259,37 @@ def test_put_below_terminal_barrier_needs_no_power_factor(C):
         assert mb.price_contract(S0, 0.0, con).power_factor is None
 
 
-def test_call_leg_below_terminal_barrier_is_floored():
-    # e^{-qbar} = e^{-757.5} underflows to 0, so the forward leg rounds to
-    # -K e^{-rbar} = -1.1e-236; as the call's leg it is floored at 0
+def test_call_leg_below_terminal_barrier_keeps_its_spot_term():
+    # e^{-qbar} = e^{-757.5} underflows to 0, but S e^{-qbar} = 1e96 e^{-757.5}
+    # is a float: the call leg, the forward leg below K = h_T, is
+    # S e^{-qbar} - K e^{-rbar} = 1.0507e-233 and needs no floor
     curves = mb.CurveSet.constant(365.0, 505.0, 0.2)
     con = mb.BarrierContract(strike=66.0, expiry=1.5, side="call",
                              style="down_and_out",
                              barrier=mb.barrier_from_terminal(98.0, 0.0, curves, 1.5))
     out = mb.down_and_out_call(1e96, 0.0, con)
-    assert (out.price, out.vanilla_term, out.image_term) == (0.0, 0.0, 0.0)
+    assert out.price == pytest.approx(1.0506873502908734e-233, rel=8e-15)
+    assert (out.vanilla_term, out.image_term) == (out.price, 0.0)
     assert mb.down_and_in_call(1e96, 0.0, con).price == 0.0
-    assert mb.forward_barrier_value(1e96, 0.0, con).price < 0.0  # unfloored
+    assert mb.forward_barrier_value(1e96, 0.0, con).price == out.price
 
 
 @pytest.mark.parametrize("strike", [80.0, 90.0, 100.0])
 @pytest.mark.parametrize("side", ["call", "put"])
 def test_breakdown_carries_d_values_at_every_strike(td_contract, side, strike):
-    # below h_T = 90 the call leg is the forward leg, for both
+    # the knockout call's d's, measured against max(K, h_T): below h_T = 90
+    # the call leg is the forward leg, for both sides
     con = td_contract(0.5, side=side, strike=strike)
     out = mb.price_contract(S0, 0.25, con)
-    assert (out.d1, out.d1_prime, out.d2, out.d2_prime) == mb.d_values(
-        S0, 0.25, con)
+    lev = con.barrier.level(0.25)
+    rbar, qbar, s2 = con.curves.bars(0.25, T0)
+    sd = math.sqrt(s2)
+    ref = max(strike, 90.0)
+    for spot, d, dp in ((S0, out.d1, out.d1_prime),
+                        (lev * lev / S0, out.d2, out.d2_prime)):
+        want = (math.log(spot / ref) + rbar - qbar + 0.5 * s2) / sd
+        assert d == pytest.approx(want, rel=1e-12)
+        assert dp == d - sd
 
 
 def test_input_validation(a_contracts):
@@ -415,8 +423,8 @@ def test_knockin_matches_vanilla_at_the_barrier(td_contract):
 
 
 # float.hex of the breakdown fields (price, vanilla_term, image_term, d1, d1',
-# d2, d2', power_factor, status) and of d_values on the two-piece curves with
-# C = 0.5 at t = 0.25, recorded before the five closed forms shared one core.
+# d2, d2', power_factor, status) on the two-piece curves with C = 0.5 at
+# t = 0.25, recorded before the five closed forms shared one core.
 # Every breakdown here also carries the C, rbar, qbar and sigma2bar below.
 # The live spot 110 is one where regrouping the put's image terms as
 # power * (call - forward), or forming the image spot as h*h/S, moves bits.
@@ -449,9 +457,6 @@ PINNED = {
             "0x1.06c076323b209p+2 0x1.4b5f5c08232afp-1 "
             "0x1.b05851a9dfef8p-2 -0x1.9570a0f0de853p+0 "
             "-0x1.cf0a3a8a781edp+0 0x1.a6e746a46ed71p+0 live"),
-        "d_values": (
-            "0x1.4b5f5c08232afp-1 0x1.b05851a9dfef8p-2 "
-            "-0x1.9570a0f0de853p+0 -0x1.cf0a3a8a781edp+0"),
     },
     "at_barrier": {
         "down_and_out_call": (
@@ -477,9 +482,6 @@ PINNED = {
             "0x1.eb726baa9c124p+3 0x1.eb726baa9c124p+3 "
             "0x1.eb726baa9c124p+3 -0x1.df81e5d999df8p-2 "
             "-0x1.62f426200022fp-1 None None None knocked_in"),
-        "d_values": (
-            "-0x1.df81e5d999df8p-2 -0x1.62f426200022fp-1 "
-            "-0x1.df81e5d999df8p-2 -0x1.62f426200022fp-1"),
     },
     "below": {
         "down_and_out_call": (
@@ -499,9 +501,6 @@ PINNED = {
             "0x1.5c269615ef4b0p+4 0x1.5c269615ef4b0p+4 "
             "0x1.5c269615ef4b0p+4 -0x1.df81e5d999e0ap-1 "
             "-0x1.295a8c866689fp+0 None None None knocked_in"),
-        "d_values": (
-            "-0x1.df81e5d999e0ap-1 -0x1.295a8c866689fp+0 "
-            "-0x1.15c71c71c71c7p-49 -0x1.ccccccccccd12p-3"),
     },
 }
 
@@ -529,7 +528,6 @@ def test_breakdowns_keep_their_bits(td_contract, spot):
                                          "power_factor", "status")])
         assert got == PINNED[spot][name], name
         assert _hexed(d.values()) == " ".join(PINNED_BARS), name
-    assert _hexed(mb.d_values(S, t, td_contract(0.5))) == PINNED[spot]["d_values"]
 
 
 # float.hex pins beside PINNED, recorded before the vanilla quote and both
@@ -563,8 +561,6 @@ def test_low_strike_breakdowns_keep_their_bits(td_contract, name):
                                       "power_factor", "status")]) == (
         f"{terms} {PINNED_LOW_STRIKE_D} {tail}")
     assert _hexed(d.values()) == " ".join(PINNED_BARS)
-    assert _hexed(mb.d_values(110.0, 0.25, td_contract(0.5, strike=80.0))) == (
-        PINNED_LOW_STRIKE_D)
 
 
 # at t = T every row settles from the payoff: (price, vanilla_term,

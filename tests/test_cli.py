@@ -120,6 +120,26 @@ def test_parity_two_piece_curves(capsys):
     assert names == ["out_in_minus_vanilla", "put_plus_forward_minus_call"]
 
 
+@pytest.mark.parametrize("curves", [FLAT, FLAT_DIV, TWO_PIECE],
+                         ids=["flat", "flat_div", "two_piece"])
+def test_parity_on_a_put(capsys, curves):
+    # in + out = vanilla with the knock-in and the vanilla put
+    rc, out, _ = run(capsys, "parity", "--curves", curves,
+                     "--contract", LEVELS_PUT, "--spot", "100", "--time", "0")
+    assert rc == 0
+    body = json.loads(out)
+    assert body["passed"] is True
+    by_name = {r["name"]: r for r in body["results"]}
+    for name in ("out_in_minus_vanilla", "put_plus_forward_minus_call"):
+        assert abs(by_name[name]["value"]) <= 1e-12, name
+    flat = ["flat_parity_gap_corrected", "flat_parity_gap_printed_form"]
+    assert list(by_name)[2:] == ([] if curves == TWO_PIECE else flat)
+    if curves != TWO_PIECE:
+        assert by_name["flat_parity_gap_corrected"]["passed"] is True
+        assert by_name["flat_parity_gap_printed_form"]["passed"] is None
+        assert abs(by_name["flat_parity_gap_printed_form"]["value"]) > 1.0
+
+
 def test_parity_unattainable_tolerance_fails(capsys):
     rc, out, _ = run(capsys, "parity", "--curves", FLAT,
                      "--contract", KNOCKOUT_CALL,

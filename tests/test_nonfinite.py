@@ -67,7 +67,6 @@ ENTRY_POINTS = {
         "down_and_out_put", "down_and_in_put", "heat_kernel_price",
         "mc_price")},
     "price_contract": mb.price_contract,
-    "d_values": mb.d_values,
     "to_heat_coords": mb.to_heat_coords,
     "PdeGrid.for_contract": mb.PdeGrid.for_contract,
     "pde_price": lambda S, t, c: mb.pde_price(
@@ -88,8 +87,7 @@ def test_bad_valuation_point_is_named(const_contract, name, S, t, match):
 
 @pytest.mark.parametrize("t", [1.0, 1.5])
 @pytest.mark.parametrize("name", ["heat_kernel_price", "pde_price", "mc_price",
-                                  "d_values", "to_heat_coords",
-                                  "PdeGrid.for_contract"])
+                                  "to_heat_coords", "PdeGrid.for_contract"])
 def test_no_time_to_expiry_names_the_time(const_contract, name, t):
     fn = PRICERS.get(name) or ENTRY_POINTS[name]
     with pytest.raises(DomainError, match=re.escape(f"got t={t}, T=1.0")):
@@ -179,7 +177,7 @@ def test_lattice_overflow_raises_typed_error(grid, error, match):
 @pytest.mark.parametrize("r,C", [(0.05, 1000.0), (50.0, -2.0)])
 @pytest.mark.parametrize("name", [
     "forward_barrier_value", "down_and_out_call", "down_and_in_call",
-    "down_and_out_put", "down_and_in_put", "d_values"])
+    "down_and_out_put", "down_and_in_put"])
 def test_underflowing_image_spot_raises_domain_error(name, r, C):
     # h(t)^2/S is 0.0 in floating point, a spot the caller never gave
     curves = mb.CurveSet.constant(r, 0.01, 0.2)
@@ -188,10 +186,9 @@ def test_underflowing_image_spot_raises_domain_error(name, r, C):
     style = "down_and_in" if "_in_" in name else "down_and_out"
     con = mb.BarrierContract(strike=100.0, expiry=1.0, side=side,
                              style=style, barrier=bar)
-    fn = mb.d_values if name == "d_values" else PRICERS[name]
     named = re.escape(f"S=1e+300, h(t)={bar.level(0.0)!r}")
     with pytest.raises(DomainError, match=named):
-        fn(1e300, 0.0, con)
+        PRICERS[name](1e300, 0.0, con)
 
 
 def test_far_knockout_put_window_holds_the_drifted_kernel():
@@ -222,15 +219,14 @@ def test_empty_window_with_tiny_prefactor_is_worth_zero():
 @pytest.mark.parametrize("name,K", [
     ("forward_barrier_value", 100.0), ("forward_barrier_value", 80.0),
     ("down_and_out_call", 80.0), ("down_and_in_call", 80.0),
-    ("down_and_out_put", 80.0), ("down_and_in_put", 80.0), ("d_values", 80.0)])
+    ("down_and_out_put", 80.0), ("down_and_in_put", 80.0)])
 def test_underflowing_total_variance_raises_domain_error(name, K):
     # at expiry 5e-324, sigma2bar = 0.04 * T is 0.0: the legs measured
     # against h_T refuse it as the vanilla quote does
     side = "put" if name.endswith("put") else "call"
     style = "down_and_in" if "_in_" in name else "down_and_out"
-    fn = mb.d_values if name == "d_values" else PRICERS[name]
     with pytest.raises(DomainError, match="sigma2bar must be positive, got 0.0"):
-        fn(100.0, 0.0, _flat(0.0, side, style=style, K=K, T=5e-324))
+        PRICERS[name](100.0, 0.0, _flat(0.0, side, style=style, K=K, T=5e-324))
 
 
 @pytest.mark.parametrize("K", [100.0, 80.0])

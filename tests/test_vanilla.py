@@ -89,6 +89,25 @@ def test_deep_out_of_the_money_price_is_clamped_nonnegative():
     assert q.price == 0.0
 
 
+@pytest.mark.parametrize("side,args,shifted,rel", [
+    # e^{-757.5} underflows to 0: the call's spot term S e^{-qbar} is 1e-233
+    ("call", (1e96, 66.0, 547.5, 757.5), (1e96 * math.exp(-700.0), 66.0,
+                                          547.5, 57.5), 8e-15),
+    # and the put's strike term K e^{-rbar} is 1e-129; exp(ln K - rbar)
+    # carries half an ulp of ln 1e200 = 460.5, 2.8e-14 relative
+    ("put", (1e-300, 1e200, 757.5, 0.0), (1e-300, 1e200 * math.exp(-700.0),
+                                          57.5, 0.0), 3e-14)],
+    ids=["call", "put"])
+def test_discount_below_the_normal_floats_keeps_its_term(side, args, shifted,
+                                                         rel):
+    # moving e^{-700} from the discount into the spot or the strike leaves
+    # the price as it was
+    price = quote_from_bars(*args, 0.06, side).price
+    assert price > 0.0
+    assert price == pytest.approx(quote_from_bars(*shifted, 0.06, side).price,
+                                  rel=rel)
+
+
 def test_expired_quotes(const_curves):
     for t in (1.0, 1.5):
         q = mb.vanilla_call(120.0, t, 100.0, 1.0, const_curves)
